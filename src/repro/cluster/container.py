@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Optional
 
-from repro.simulation.distributions import SeededRandom
+from repro.simulation.distributions import SeededRandom, stable_seed
 from repro.simulation.engine import Environment
 from repro.cluster.resources import ResourceRequest
 
@@ -125,7 +125,7 @@ class ContainerRuntime:
         self.env = env
         self.host_id = host_id
         self.latency_model = latency_model or ContainerLatencyModel()
-        self._rng = rng or SeededRandom(hash(host_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(stable_seed(host_id))
         self.containers: Dict[str, Container] = {}
         self.cold_starts = 0
         self.warm_starts = 0

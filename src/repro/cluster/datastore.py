@@ -11,14 +11,11 @@ this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.simulation.distributions import SeededRandom
 from repro.simulation.engine import Environment
-
-_OBJECT_IDS = count(1)
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,9 @@ class StoredObject:
     size_bytes: int
     owner: str
     written_at: float
-    object_id: int = field(default_factory=lambda: next(_OBJECT_IDS))
+    #: Minted per store write from ``env.next_serial``, so ids restart in
+    #: every run and never depend on what ran before in the process.
+    object_id: int
     version: int = 1
 
 
@@ -114,7 +113,9 @@ class DistributedDataStore:
         existing = self._objects.get(key)
         version = existing.version + 1 if existing else 1
         stored = StoredObject(key=key, size_bytes=size_bytes, owner=owner,
-                              written_at=self.env.now, version=version)
+                              written_at=self.env.now,
+                              object_id=self.env.next_serial("stored-object"),
+                              version=version)
         self._objects[key] = stored
         self.bytes_written += size_bytes
         self.write_latencies.append(self.env.now - start)

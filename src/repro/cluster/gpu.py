@@ -53,10 +53,18 @@ class GPUDevice:
 
 @dataclass
 class GPUAllocator:
-    """Exclusive whole-GPU allocation for one host."""
+    """Exclusive whole-GPU allocation for one host.
+
+    Alongside the devices it keeps an owner -> held-devices map, updated by
+    :meth:`allocate` and :meth:`release`, so ownership checks
+    (:meth:`holds`) and releases never scan every device.  The map is exact
+    only while devices are allocated and released through the allocator.
+    """
 
     host_id: str
     devices: List[GPUDevice] = field(default_factory=list)
+    _held: Dict[str, List[GPUDevice]] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
 
     @classmethod
     def create(cls, host_id: str, num_gpus: int, vram_gb: float = 32.0) -> "GPUAllocator":
@@ -91,24 +99,32 @@ class GPUAllocator:
         chosen = idle[:count]
         for device in chosen:
             device.allocate(owner, now)
+        if chosen:
+            self._held.setdefault(owner, []).extend(chosen)
         return [device.device_id for device in chosen]
 
     def release(self, owner: str, now: float) -> int:
         """Release every GPU held by ``owner``; returns the number released."""
-        released = 0
-        for device in self.devices:
-            if device.allocated_to == owner:
-                device.release(now)
-                released += 1
-        return released
+        held = self._held.pop(owner, None)
+        if held is None:
+            return 0
+        for device in held:
+            device.release(now)
+        return len(held)
+
+    def holds(self, owner: str) -> bool:
+        """Whether ``owner`` currently holds at least one GPU."""
+        return owner in self._held
 
     def owners(self) -> Dict[str, List[int]]:
-        """Mapping of owner id to the device IDs it currently holds."""
-        holding: Dict[str, List[int]] = {}
-        for device in self.devices:
-            if device.allocated_to is not None:
-                holding.setdefault(device.allocated_to, []).append(device.device_id)
-        return holding
+        """A fresh mapping of owner id to the device IDs it currently holds.
+
+        Ids ascend within an owner, and owners are ordered by their lowest
+        device id — the order a scan over the devices would produce.
+        """
+        holding = {owner: sorted(device.device_id for device in held)
+                   for owner, held in self._held.items()}
+        return dict(sorted(holding.items(), key=lambda item: item[1][0]))
 
     def total_busy_time(self, now: Optional[float] = None) -> float:
         """Aggregate GPU-busy seconds across all devices (including in-flight)."""

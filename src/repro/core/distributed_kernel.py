@@ -46,19 +46,6 @@ class KernelReplica:
     executions: int = 0
     was_prewarmed: bool = False
 
-    def __setattr__(self, name: str, value) -> None:
-        # Replica state transitions (IDLE <-> EXECUTING, MIGRATING,
-        # TERMINATED) change what make_proposals / preferred_executor would
-        # return, so they invalidate the owning kernel's cached decisions.
-        # The ``_kernel`` back-reference is installed by
-        # DistributedKernel.add_replica; before that (construction, pooled
-        # replicas) there is nothing to invalidate.
-        object.__setattr__(self, name, value)
-        if name == "state":
-            owner = self.__dict__.get("_kernel")
-            if owner is not None:
-                owner.decision_version += 1
-
     @property
     def host_id(self) -> str:
         return self.host.host_id
@@ -69,7 +56,7 @@ class KernelReplica:
 
     def can_lead(self, gpus_required: int) -> bool:
         """Whether this replica's host could bind the GPUs for a task now."""
-        if self.state != ReplicaState.IDLE:
+        if self.state is not ReplicaState.IDLE:
             return False
         if gpus_required == 0:
             return True
@@ -77,9 +64,10 @@ class KernelReplica:
 
     def proposal(self, gpus_required: int) -> ReplicaProposal:
         lead = self.can_lead(gpus_required)
+        host = self.host
         reason = "sufficient idle GPUs" if lead else (
-            f"only {self.host.idle_gpus} idle GPUs on {self.host_id}")
-        return ReplicaProposal(replica_id=self.replica_id, host_id=self.host_id,
+            f"only {host.idle_gpus} idle GPUs on {host.host_id}")
+        return ReplicaProposal(replica_id=self.replica_id, host_id=host.host_id,
                                lead=lead, reason=reason)
 
     def terminate(self) -> None:
@@ -101,11 +89,10 @@ class DistributedKernel:
     terminated_at: Optional[float] = None
     migrations: int = 0
     executions_completed: int = 0
-    #: Monotonic change counter for election-relevant kernel state: bumped
-    #: when the replica set changes and whenever any owned replica changes
-    #: ``state`` (via the KernelReplica ``__setattr__`` hook).  Decision-
-    #: cache guards for make_proposals / preferred_executor snapshot it
-    #: together with the replica hosts' ``version`` counters.
+    #: Monotonic change counter for the replica set: bumped when a replica
+    #: is added or removed.  Decision-cache guards for make_proposals /
+    #: preferred_executor snapshot it together with each replica's
+    #: ``state`` and its host's ``version`` counter.
     decision_version: int = 0
 
     # ------------------------------------------------------------------
@@ -113,7 +100,6 @@ class DistributedKernel:
     # ------------------------------------------------------------------
     def add_replica(self, replica: KernelReplica) -> None:
         self.replicas.append(replica)
-        replica._kernel = self
         self.decision_version += 1
 
     def remove_replica(self, replica_id: str) -> Optional[KernelReplica]:
@@ -149,9 +135,11 @@ class DistributedKernel:
     # Election support.
     # ------------------------------------------------------------------
     def make_proposals(self, gpus_required: int) -> List[ReplicaProposal]:
-        """Each active replica's LEAD / YIELD proposal for one cell execution."""
-        return [replica.proposal(gpus_required) for replica in self.active_replicas
-                if replica.state in (ReplicaState.IDLE, ReplicaState.EXECUTING)]
+        """Each idle or executing replica's LEAD / YIELD proposal for one
+        cell execution (in replica order)."""
+        idle, executing = ReplicaState.IDLE, ReplicaState.EXECUTING
+        return [replica.proposal(gpus_required) for replica in self.replicas
+                if replica.state is idle or replica.state is executing]
 
     # ------------------------------------------------------------------
     # Namespace model for state replication.

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.simulation.distributions import SeededRandom
+from repro.simulation.distributions import SeededRandom, stable_seed
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,10 @@ class ExecutorElection:
     def __init__(self, kernel_id: str, rng: Optional[SeededRandom] = None,
                  latency_model: Optional[ElectionLatencyModel] = None) -> None:
         self.kernel_id = kernel_id
-        self._rng = rng or SeededRandom(hash(kernel_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(stable_seed(kernel_id))
         self.latency_model = latency_model or ElectionLatencyModel()
         self.elections_held = 0
         self.failed_elections = 0
-        self.outcomes: List[ElectionOutcome] = []
         self.last_executor_id: Optional[str] = None
 
     def decide(self, proposals: List[ReplicaProposal],
@@ -114,42 +113,36 @@ class ExecutorElection:
         self.elections_held += 1
         election_id = self.elections_held
 
-        effective = list(proposals)
         converted = 0
+        winner: Optional[ReplicaProposal] = None
         if preferred_replica is not None:
-            designated_can_lead = any(
-                p.lead and p.replica_id == preferred_replica for p in proposals)
-            if designated_can_lead:
-                converted = sum(1 for p in proposals
-                                if p.lead and p.replica_id != preferred_replica)
-                effective = [
-                    ReplicaProposal(replica_id=p.replica_id, host_id=p.host_id,
-                                    lead=(p.replica_id == preferred_replica),
-                                    reason="yield_request" if p.replica_id != preferred_replica
-                                    else p.reason)
-                    for p in proposals]
-
-        lead_proposals = [p for p in effective if p.lead]
-        winner: Optional[ReplicaProposal]
-        if not lead_proposals:
-            winner = None
-            self.failed_elections += 1
-        elif preferred_replica is not None and any(
-                p.replica_id == preferred_replica for p in lead_proposals):
-            winner = next(p for p in lead_proposals
-                          if p.replica_id == preferred_replica)
-        else:
-            # Raft commits proposals in arrival order; with symmetric links the
-            # first committed LEAD is effectively uniform among the leaders —
-            # with a bias toward the previous executor, whose proposal path is
-            # warm (this is what yields the high executor-reuse fraction the
-            # paper reports in §5.3.2).
-            previous = [p for p in lead_proposals
-                        if p.replica_id == self.last_executor_id]
-            if previous and self._rng.random() < 0.9:
-                winner = previous[0]
+            for proposal in proposals:
+                if proposal.lead:
+                    if proposal.replica_id != preferred_replica:
+                        converted += 1
+                    elif winner is None:
+                        winner = proposal
+            if winner is None:
+                converted = 0
+            # Otherwise the other LEADs become yield_requests and the
+            # designated replica's own proposal wins as it stands.
+        if winner is None:
+            lead_proposals = [p for p in proposals if p.lead]
+            if not lead_proposals:
+                self.failed_elections += 1
             else:
-                winner = self._rng.choice(lead_proposals)
+                # Raft commits proposals in arrival order; with symmetric
+                # links the first committed LEAD is effectively uniform
+                # among the leaders — with a bias toward the previous
+                # executor, whose proposal path is warm (this is what yields
+                # the high executor-reuse fraction the paper reports in
+                # §5.3.2).
+                previous = [p for p in lead_proposals
+                            if p.replica_id == self.last_executor_id]
+                if previous and self._rng.random() < 0.9:
+                    winner = previous[0]
+                else:
+                    winner = self._rng.choice(lead_proposals)
 
         outcome = ElectionOutcome(election_id=election_id, winner=winner,
                                   proposals=list(proposals),
@@ -157,7 +150,6 @@ class ExecutorElection:
                                   converted_to_yield=converted)
         if winner is not None:
             self.last_executor_id = winner.replica_id
-        self.outcomes.append(outcome)
         return outcome
 
     @property

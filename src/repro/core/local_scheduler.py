@@ -33,7 +33,7 @@ from repro.cluster.host import Host
 from repro.cluster.prewarmer import ContainerPrewarmer
 from repro.cluster.resources import ResourceRequest
 from repro.core.distributed_kernel import DistributedKernel, KernelReplica, ReplicaState
-from repro.simulation.distributions import SeededRandom
+from repro.simulation.distributions import SeededRandom, stable_seed
 from repro.simulation.engine import Environment
 
 
@@ -50,7 +50,7 @@ class LocalScheduler:
         self.host = host
         self.prewarmer = prewarmer
         self.processing_delay = processing_delay
-        self._rng = rng or SeededRandom(hash(host.host_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(stable_seed(host.host_id))
         self.runtime = ContainerRuntime(env, host.host_id,
                                         latency_model=container_latency,
                                         rng=self._rng.substream("containers"))
@@ -147,7 +147,7 @@ class LocalScheduler:
         self.host.unregister_container(replica.container.container_id)
         if not self.replicas_for_kernel(replica.kernel_id):
             self.host.unsubscribe(replica.kernel_id)
-        if replica.kernel_id in self.host.gpus.owners():
+        if self.host.gpus.holds(replica.kernel_id):
             self.host.release_gpus(replica.kernel_id, self.env.now)
 
     def terminate_replica(self, replica: KernelReplica):
@@ -167,7 +167,7 @@ class LocalScheduler:
         return self.host.bind_gpus(replica.kernel_id, gpus, self.env.now)
 
     def release_gpus(self, replica: KernelReplica) -> int:
-        if replica.kernel_id not in self.host.gpus.owners():
+        if not self.host.gpus.holds(replica.kernel_id):
             return 0
         return self.host.release_gpus(replica.kernel_id, self.env.now)
 

@@ -136,7 +136,6 @@ class NotebookOSPlatform:
         self.sessions: Dict[str, NotebookSession] = {}
         self.active_session_count = 0
         self.active_training_count = 0
-        self._background_processes: List = []
         # Set by the shard runner (repro.shard) when this platform simulates
         # one shard of a space-partitioned run.  Anything with a
         # ``stats_payload()`` method qualifies (duck-typed to keep the core
@@ -201,8 +200,13 @@ class NotebookOSPlatform:
     # Helpers used by policies.
     # ------------------------------------------------------------------
     def spawn_background(self, generator) -> None:
-        """Run a generator as a fire-and-forget background process."""
-        self._background_processes.append(self.env.process(generator))
+        """Run a generator as a fire-and-forget background process.
+
+        The platform keeps no reference to the process: the event queue holds
+        it while it runs, and reference counting frees it (and whatever it
+        returned) as soon as it finishes.
+        """
+        self.env.process(generator)
 
     # ------------------------------------------------------------------
     # Workload replay.

@@ -33,7 +33,8 @@ reads:
   decommission on the individual host;
 * ``ContainerPrewarmer.version`` — bumped by every warm-pool mutation;
 * ``DistributedKernel.decision_version`` — bumped by replica-set changes
-  and replica state transitions.
+  (add / remove); the kernel guards snapshot each replica's ``state``
+  alongside it, so a bare state transition misses too.
 
 A hit is only served when the guard is *equal* to the snapshot taken at
 compute time, and the value is always produced by the same frozen code
@@ -68,7 +69,8 @@ def compute_preferred_executor(kernel, gpus_required: int) -> Optional[str]:
     Pure: no RNG, no mutation — the actual election (which always consumes
     RNG) happens later in ``ExecutorElection.decide``.
     """
-    candidates = [replica for replica in kernel.active_replicas
+    # can_lead implies IDLE, so terminated replicas drop out in this pass.
+    candidates = [replica for replica in kernel.replicas
                   if replica.can_lead(gpus_required)]
     if not candidates:
         return None
@@ -164,12 +166,16 @@ class DecisionCache:
                           compute)
 
     # ------------------------------------------------------------------
-    # Election-adjacent decisions (guard: kernel decision version plus the
-    # replica hosts' versions — can_lead reads host idle-GPU state).
+    # Election-adjacent decisions (guard: kernel decision version plus each
+    # replica's state and its host's version — can_lead reads both).
     # ------------------------------------------------------------------
-    def _kernel_guard(self, kernel) -> tuple:
-        return (kernel.decision_version,
-                tuple(replica.host.version for replica in kernel.replicas))
+    def _kernel_guard(self, kernel) -> list:
+        # A flat, freshly built list: the cheapest guard to build and to
+        # compare, and callers may append to it.
+        guard = [kernel.decision_version]
+        for replica in kernel.replicas:
+            guard += (replica.state, replica.host.version)
+        return guard
 
     def preferred_executor(self, kernel, gpus_required: int) -> Optional[str]:
         """Memoized preferred-executor selection for one kernel/request."""
@@ -177,7 +183,8 @@ class DecisionCache:
             return compute_preferred_executor(kernel, gpus_required)
         election = kernel.election
         last = election.last_executor_id if election is not None else None
-        guard = (self._kernel_guard(kernel), last)
+        guard = self._kernel_guard(kernel)
+        guard.append(last)
         return self._memo(("pref", kernel.kernel_id, gpus_required), guard,
                           lambda: compute_preferred_executor(kernel,
                                                              gpus_required))

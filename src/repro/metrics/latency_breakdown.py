@@ -27,6 +27,7 @@ REQUEST_STEPS: List[str] = [
     "kernel_postprocess",     # (9)  post-processing (sync is async in NotebookOS)
     "kernel_to_ls_hop",       # (10) reply hop kernel -> Local Scheduler
 ]
+_STEP_NAMES = frozenset(REQUEST_STEPS)
 
 
 @dataclass
@@ -36,7 +37,7 @@ class StepLatencies:
     steps: Dict[str, float] = field(default_factory=dict)
 
     def record(self, step: str, latency: float) -> None:
-        if step not in REQUEST_STEPS:
+        if step not in _STEP_NAMES:
             raise KeyError(f"unknown request step {step!r}")
         if latency < 0:
             raise ValueError(f"negative latency for step {step!r}: {latency}")

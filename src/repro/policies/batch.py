@@ -134,7 +134,7 @@ class BatchPolicy(SchedulingPolicy):
             platform, session, owner=job_id, node_id=job_id)
         steps.record("kernel_postprocess", persist_time)
 
-        if gpus and job_id in host.gpus.owners():
+        if gpus and host.gpus.holds(job_id):
             host.release_gpus(job_id, env.now)
         host.unregister_container(container.container_id)
         yield from self.reply_egress(platform, steps)

@@ -141,7 +141,7 @@ class LargeContainerPoolPolicy(SchedulingPolicy):
             platform, session, owner=job_id, node_id=host.host_id)
         steps.record("kernel_postprocess", persist_time)
 
-        if gpus and job_id in host.gpus.owners():
+        if gpus and host.gpus.holds(job_id):
             host.release_gpus(job_id, env.now)
         # The container returns to the pool rather than being terminated.
         platform.prewarmer.put_back(host.host_id, container)

@@ -115,11 +115,13 @@ class NotebookOSPolicy(SchedulingPolicy):
         previous_executor = kernel.election.last_executor_id
         gpus_needed = task.gpus if task.is_gpu_task else 0
         # Proposals and the preferred executor are computed directly: each is
-        # queried exactly once per election, so a version-guarded memo would
-        # pay guard-construction costs comparable to the computation itself
+        # queried exactly once per election, so a guarded memo would pay
+        # guard-construction costs comparable to the computation itself
         # without ever serving a repeat.  (DecisionCache.proposals /
         # .preferred_executor stay available for callers with repeat-query
-        # patterns; the differential harness pins their equivalence.)
+        # patterns: their guard snapshots every replica's state and host
+        # version, so replica state changes need no notification, and the
+        # differential harness pins their equivalence.)
         proposals = kernel.make_proposals(gpus_needed)
         if not proposals:
             # Every replica is gone or busy migrating (failure injection can
@@ -250,7 +252,7 @@ class NotebookOSPolicy(SchedulingPolicy):
     @staticmethod
     def _kernel_owns_gpus(executor, kernel: DistributedKernel) -> bool:
         """Whether the kernel already holds GPUs on the executor's host."""
-        return bool(executor.host.gpus.owners().get(kernel.kernel_id))
+        return executor.host.gpus.holds(kernel.kernel_id)
 
     def _replicate_state(self, platform: "NotebookOSPlatform",
                          kernel: DistributedKernel, executor_replica: str,

@@ -83,7 +83,7 @@ class ReservationPolicy(SchedulingPolicy):
         host.pool.release(reservation.request)
         host.unsubscribe(session.session_id)
         host.unregister_container(reservation.container.container_id)
-        if session.session_id in host.gpus.owners():
+        if host.gpus.holds(session.session_id):
             host.release_gpus(session.session_id, platform.env.now)
         scheduler = platform.cluster.scheduler_for(host.host_id)
         yield platform.env.process(scheduler.runtime.terminate(reservation.container))
@@ -146,7 +146,7 @@ class ReservationPolicy(SchedulingPolicy):
         # The reserved kernel persists small updated state after the cell.
         steps.record("kernel_postprocess", self.state_persist_s)
         yield self.state_persist_s
-        if gpus and session.session_id in host.gpus.owners():
+        if gpus and host.gpus.holds(session.session_id):
             host.release_gpus(session.session_id, env.now)
 
         yield from self.reply_egress(platform, steps)

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 from repro.simulation.engine import Environment, Process
 from repro.simulation.events import Event
 from repro.simulation.network import Message, Network, NetworkAddress
-from repro.simulation.distributions import SeededRandom
+from repro.simulation.distributions import SeededRandom, stable_seed
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import (
     AppendEntriesRequest,
@@ -88,7 +88,7 @@ class RaftNode:
         self.peers = [p for p in peers if p != node_id]
         self.state_machine = state_machine
         self.config = config
-        self._rng = rng or SeededRandom(hash(node_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(stable_seed(node_id))
 
         # Persistent state.
         self.current_term = 0

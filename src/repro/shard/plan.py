@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.workload.trace import SessionTrace, Trace
 
 __all__ = ["ShardPlan", "default_epoch_s", "partition_sessions",
-           "shard_traces", "MIN_EPOCH_S", "MAX_EPOCH_S"]
+           "shard_traces", "MIN_EPOCH_S", "MAX_EPOCH_S", "MAX_BARRIERS"]
 
 #: Epoch bounds: barriers are pure synchronization overhead below a minute
 #: of simulated time, and above half an hour the frames get too stale to be
@@ -42,6 +42,12 @@ MAX_EPOCH_S = 1800.0
 
 #: Default barrier count a run is cut into when no epoch length is given.
 DEFAULT_EPOCHS_PER_RUN = 64
+
+#: Most barriers an explicit ``epoch_s`` may cut a run into.  The schedule
+#: is one float per barrier, so an unbounded count (``epoch_s=1`` over a
+#: 1e7 s horizon) would build millions of them.  The default epoch reaches
+#: this only past a five-year horizon (100k barriers of MAX_EPOCH_S).
+MAX_BARRIERS = 100_000
 
 
 def default_epoch_s(horizon: float) -> float:
@@ -101,10 +107,20 @@ class ShardPlan:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         horizon = float(horizon) if horizon is not None else trace.duration
-        epoch = float(epoch_s) if epoch_s is not None \
-            else default_epoch_s(horizon)
-        if epoch <= 0:
-            raise ValueError(f"epoch_s must be positive, got {epoch}")
+        if not math.isfinite(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon}")
+        if epoch_s is None:
+            epoch = default_epoch_s(horizon)
+        else:
+            epoch = float(epoch_s)
+            if not math.isfinite(epoch) or epoch <= 0:
+                raise ValueError(
+                    f"epoch_s must be positive and finite, got {epoch}")
+            if horizon / epoch > MAX_BARRIERS:
+                raise ValueError(
+                    f"epoch_s={epoch} over horizon {horizon} s would cut "
+                    f"{math.ceil(horizon / epoch)} barriers; at most "
+                    f"{MAX_BARRIERS} are allowed")
         n_full = max(0, math.ceil(horizon / epoch) - 1)
         barriers = tuple((k + 1) * epoch for k in range(n_full)) + (horizon,)
         parts = partition_sessions(trace.sessions, num_shards)

@@ -22,6 +22,17 @@ import random
 from typing import Optional, Sequence
 
 
+def stable_seed(name: str) -> int:
+    """A 31-bit seed derived from ``name`` through a stable MD5 digest.
+
+    Unlike :func:`hash`, which Python salts per interpreter run, the result
+    is the same in every process — use it wherever a seed is derived from a
+    string.
+    """
+    digest = hashlib.md5(name.encode()).digest()
+    return int.from_bytes(digest[:4], "little") & 0x7FFFFFFF
+
+
 class SeededRandom(random.Random):
     """A :class:`random.Random` with named sub-streams.
 
@@ -45,9 +56,7 @@ class SeededRandom(random.Random):
         :func:`hash` so that simulations are reproducible across processes
         (Python randomizes string hashing per interpreter run).
         """
-        digest = hashlib.md5(f"{self._seed_value}:{name}".encode()).digest()
-        derived = int.from_bytes(digest[:4], "little") & 0x7FFFFFFF
-        return SeededRandom(derived)
+        return SeededRandom(stable_seed(f"{self._seed_value}:{name}"))
 
 
 class LogNormalSampler:

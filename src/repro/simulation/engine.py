@@ -114,8 +114,9 @@ class Process(Event):
     wait for completion.
     """
 
+    # ``__weakref__`` lets tests and tools watch a process get freed.
     __slots__ = ("_name", "_generator", "_waiting_on", "_resume_cb",
-                 "_sleep_call")
+                 "_sleep_call", "__weakref__")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any],
                  name: Optional[str] = None) -> None:
@@ -194,13 +195,16 @@ class Process(Event):
                 event.defused = True
                 target = self._generator.throw(exc)
         except StopIteration as stop:
-            # _finish inlined: trigger this process's completion event.
+            # _finish inlined: trigger this process's completion event, and
+            # drop the self-references (see _finish).
+            self._resume_cb = self._sleep_call = None
             if not self._triggered:
                 self._triggered = True
                 self._value = stop.value
                 self.env._fifo.append(self)
             return
         except Interrupt as interrupt:
+            self._resume_cb = self._sleep_call = None
             if not self._triggered:
                 self._triggered = True
                 self._exception = interrupt
@@ -209,6 +213,7 @@ class Process(Event):
                 self.env._fifo.append(self)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
+            self._resume_cb = self._sleep_call = None
             if not self._triggered:
                 self._triggered = True
                 self._exception = exc
@@ -337,6 +342,13 @@ class Process(Event):
         # succeed()/fail() inlined: _finish runs once per completed process
         # and has already established that the event is untriggered.
         self._waiting_on = None
+        # The bound resume callback and the sleep stub that carries it both
+        # point back at this process; dropping them leaves a finished
+        # process cycle-free, so reference counting frees it without the
+        # cyclic garbage collector.  A stale stub still queued holds its own
+        # reference to the bound method, and _resume ignores it once
+        # _triggered is set.
+        self._resume_cb = self._sleep_call = None
         if self._triggered:
             return
         self._triggered = True

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.raft.cluster import RaftCluster
-from repro.simulation.distributions import SeededRandom
+from repro.simulation.distributions import SeededRandom, stable_seed
 from repro.simulation.engine import Environment
 from repro.statesync.ast_analysis import CodeAnalysis, analyze_code
 from repro.statesync.checkpoint import CheckpointManager
-from repro.statesync.objects import NamespaceObject, ObjectClass
+from repro.statesync.objects import LARGE_OBJECT_THRESHOLD_BYTES, NamespaceObject
 
 
 @dataclass
@@ -88,9 +88,8 @@ class StateSynchronizer:
         self.checkpoint_manager = checkpoint_manager
         self.raft_cluster = raft_cluster
         self.latency_model = latency_model or SyncLatencyModel()
-        self._rng = rng or SeededRandom(hash(kernel_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(stable_seed(kernel_id))
         self.sync_latencies: List[float] = []
-        self.reports: List[SyncReport] = []
         # code -> full sync plan: (namespace list object, small, large,
         # sorted small names, sorted large names, small bytes, large bytes).
         # An entry is valid only while the caller passes the *same*
@@ -121,13 +120,17 @@ class StateSynchronizer:
             (_, small, large, small_names, large_names,
              small_bytes, large_bytes) = cached
         else:
+            # One pass: the touched objects split by classify_object's
+            # threshold (sizes are validated non-negative at construction).
             touched_names = analysis.names_to_replicate
-            touched = [obj for obj in namespace_objects
-                       if obj.name in touched_names]
-            small = [obj for obj in touched
-                     if obj.object_class == ObjectClass.SMALL]
-            large = [obj for obj in touched
-                     if obj.object_class == ObjectClass.LARGE]
+            small = []
+            large = []
+            for obj in namespace_objects:
+                if obj.name in touched_names:
+                    if obj.size_bytes >= LARGE_OBJECT_THRESHOLD_BYTES:
+                        large.append(obj)
+                    else:
+                        small.append(obj)
             small_names = tuple(sorted(obj.name for obj in small))
             large_names = tuple(sorted(obj.name for obj in large))
             small_bytes = sum(obj.size_bytes for obj in small)
@@ -158,5 +161,4 @@ class StateSynchronizer:
             report.checkpoint_latency = self.env.now - start
             report.bytes_via_datastore = large_bytes
 
-        self.reports.append(report)
         return report

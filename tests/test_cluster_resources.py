@@ -125,6 +125,55 @@ def test_gpu_allocator_owner_tracking():
     assert len(owners["b"]) == 2
 
 
+def _scan_owners(allocator):
+    """Owner -> device ids by scanning every device: the pre-map oracle."""
+    holding = {}
+    for device in allocator.devices:
+        if device.allocated_to is not None:
+            holding.setdefault(device.allocated_to, []).append(device.device_id)
+    return holding
+
+
+def _scan_release(allocator, owner, now):
+    """Release ``owner``'s GPUs by scanning every device: the pre-map oracle
+    (it bypasses the allocator's owner map on purpose)."""
+    released = 0
+    for device in allocator.devices:
+        if device.allocated_to == owner:
+            device.release(now)
+            released += 1
+    return released
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_gpus=st.integers(0, 8),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                              st.integers(0, 4)), max_size=40))
+def test_gpu_allocator_owner_map_matches_device_scan(num_gpus, ops):
+    allocator = GPUAllocator.create("host-1", num_gpus=num_gpus)
+    oracle = GPUAllocator.create("host-1", num_gpus=num_gpus)
+    owners = [f"owner-{index}" for index in range(4)]
+    for step, (allocate, owner_index, count) in enumerate(ops):
+        owner, now = owners[owner_index], float(step)
+        if allocate:
+            if count <= allocator.idle_count:
+                assert allocator.allocate(owner, count, now) == \
+                    oracle.allocate(owner, count, now)
+        else:
+            assert allocator.release(owner, now) == \
+                _scan_release(oracle, owner, now)
+        # Same device state, owners() equal to the scan (order included),
+        # and holds() agreeing with it for every owner.
+        assert allocator.devices == oracle.devices
+        expected = _scan_owners(allocator)
+        assert list(allocator.owners().items()) == list(expected.items())
+        for candidate in owners:
+            assert allocator.holds(candidate) == (candidate in expected)
+    returned = allocator.owners()
+    returned.clear()  # a copy: clearing it changes nothing
+    assert allocator.owners() == _scan_owners(allocator)
+
+
 def test_gpu_device_double_allocate_raises():
     allocator = GPUAllocator.create("host-1", num_gpus=1)
     allocator.allocate("a", 1, now=0.0)

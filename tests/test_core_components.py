@@ -2,6 +2,8 @@
 auto-scaling, GPU binding, and the distributed kernel abstraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Host, HostSpec, ResourceRequest
 from repro.core import (
@@ -16,6 +18,7 @@ from repro.core import (
     ReplicaProposal,
     ReplicaState,
 )
+from repro.core.election import ElectionOutcome
 from repro.core.placement import cluster_subscription_ratio
 from repro.simulation import SeededRandom
 from repro.statesync import ObjectClass
@@ -110,6 +113,88 @@ def test_election_reuses_previous_executor_most_of_the_time():
         first_winner = election.last_executor_id
     # §5.3.2 reports ~89% executor reuse; the model should be in that regime.
     assert reuse / rounds > 0.75
+
+
+class RebuildingElection(ExecutorElection):
+    """The pre-flattening ``decide``: rebuilds every proposal whenever a
+    designated replica can lead.  Kept here as the differential oracle."""
+
+    def decide(self, proposals, preferred_replica=None):
+        if not proposals:
+            raise ValueError("an election requires at least one proposal")
+        self.elections_held += 1
+        election_id = self.elections_held
+        effective = list(proposals)
+        converted = 0
+        if preferred_replica is not None:
+            designated_can_lead = any(
+                p.lead and p.replica_id == preferred_replica for p in proposals)
+            if designated_can_lead:
+                converted = sum(1 for p in proposals
+                                if p.lead and p.replica_id != preferred_replica)
+                effective = [
+                    ReplicaProposal(
+                        replica_id=p.replica_id, host_id=p.host_id,
+                        lead=(p.replica_id == preferred_replica),
+                        reason="yield_request"
+                        if p.replica_id != preferred_replica else p.reason)
+                    for p in proposals]
+        lead_proposals = [p for p in effective if p.lead]
+        if not lead_proposals:
+            winner = None
+            self.failed_elections += 1
+        elif preferred_replica is not None and any(
+                p.replica_id == preferred_replica for p in lead_proposals):
+            winner = next(p for p in lead_proposals
+                          if p.replica_id == preferred_replica)
+        else:
+            previous = [p for p in lead_proposals
+                        if p.replica_id == self.last_executor_id]
+            if previous and self._rng.random() < 0.9:
+                winner = previous[0]
+            else:
+                winner = self._rng.choice(lead_proposals)
+        outcome = ElectionOutcome(
+            election_id=election_id, winner=winner, proposals=list(proposals),
+            latency_s=self.latency_model.sample(self._rng),
+            converted_to_yield=converted)
+        if winner is not None:
+            self.last_executor_id = winner.replica_id
+        return outcome
+
+
+# One election round: a subset of a kernel's replicas (ids unique, as in a
+# kernel), each proposing LEAD or YIELD, plus an optional designated replica
+# (possibly one that proposed YIELD, or one absent from the round).
+election_rounds = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 5), st.booleans(),
+                           st.sampled_from(["", "sufficient idle GPUs"])),
+                 min_size=1, max_size=6, unique_by=lambda entry: entry[0]),
+        st.one_of(st.none(), st.integers(0, 6))),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), rounds=election_rounds)
+def test_election_decide_matches_rebuilding_reference(seed, rounds):
+    election = ExecutorElection("k1", rng=SeededRandom(seed))
+    reference = RebuildingElection("k1", rng=SeededRandom(seed))
+    for entries, designated in rounds:
+        round_proposals = [
+            ReplicaProposal(replica_id=f"r{index}", host_id=f"h{index % 3}",
+                            lead=lead, reason=reason)
+            for index, lead, reason in entries]
+        preferred = None if designated is None else f"r{designated}"
+        got = election.decide(round_proposals, preferred_replica=preferred)
+        want = reference.decide(round_proposals, preferred_replica=preferred)
+        assert got.winner == want.winner      # by value, reason included
+        assert got.converted_to_yield == want.converted_to_yield
+        # Equal latency: the RNG sits at the same position after the round.
+        assert got.latency_s == want.latency_s
+        assert got.signature() == want.signature()
+        assert election.last_executor_id == reference.last_executor_id
+    assert election.failed_elections == reference.failed_elections
 
 
 def test_election_requires_proposals():

@@ -8,14 +8,22 @@ across (a) two independent runs and (b) a JSON round-trip of the resulting
 :class:`~repro.metrics.collector.MetricsCollector`.
 """
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunSpec, Simulation
 from repro.experiments import default_registry
 from repro.experiments.runner import _execute_spec
+from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult, MetricsCollector
 from repro.simulation import AllOf, AnyOf, Environment, Interrupt
 
@@ -129,3 +137,105 @@ def test_collector_json_round_trip_is_bit_identical():
         json.loads(json.dumps(collector_dict))).to_dict()
     assert json.dumps(round_tripped, sort_keys=True) == \
         json.dumps(collector_dict, sort_keys=True)
+
+
+def _digest(result) -> str:
+    canonical = json.dumps(result.collector.to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The stepped replay equals run_workload.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", ["notebookos", "batch", "lcp",
+                                    "reservation"])
+def test_stepped_replay_matches_run_workload(policy):
+    """begin / step_workload_until x N / drain / finish — the sequence the
+    shard runner and the benchmark drive — is the same run as
+    ``run_workload`` for any epoch count."""
+    spec = RunSpec.from_scenario("smoke", policy=policy)
+    expected = _digest(Simulation.from_spec(spec).run())
+    for epochs in (1, 7, 64):
+        simulation = Simulation.from_spec(spec)
+        trace = build_trace(simulation.spec)
+        platform = simulation.build(trace)
+        platform.begin_workload(trace)
+        try:
+            for epoch in range(epochs):
+                platform.step_workload_until(
+                    trace.duration * (epoch + 1) / epochs)
+            platform.drain_workload()
+            result = platform.finish_workload()
+        finally:
+            platform.detach_metrics()
+        assert _digest(result) == expected, (policy, epochs)
+
+
+# ----------------------------------------------------------------------
+# No per-process state leaks into ids or fallback seeds.
+# ----------------------------------------------------------------------
+def _stored_objects(simulation: Simulation) -> list:
+    simulation.run()
+    objects = simulation.platform.datastore._objects  # noqa: SLF001
+    return sorted((key, stored.object_id, stored.version)
+                  for key, stored in objects.items())
+
+
+def test_identical_replays_mint_identical_object_ids():
+    spec = RunSpec.from_scenario("smoke", policy="notebookos")
+    first = _stored_objects(Simulation.from_spec(spec))
+    second = _stored_objects(Simulation.from_spec(spec))
+    assert first, "the smoke replay checkpointed nothing"
+    # Ids come from the run's own serials, not a process-wide counter that
+    # the first replay would have advanced.
+    assert first == second
+    assert len({object_id for _, object_id, _ in first}) == len(first)
+
+
+_FALLBACK_STREAMS = """
+import json
+from repro.cluster.container import ContainerRuntime
+from repro.cluster.host import Host
+from repro.core.election import ExecutorElection, ReplicaProposal
+from repro.core.local_scheduler import LocalScheduler
+from repro.raft.node import RaftNode
+from repro.raft.state_machine import KeyValueStateMachine
+from repro.simulation import Environment
+from repro.simulation.network import Network
+from repro.statesync.synchronizer import StateSynchronizer
+
+election = ExecutorElection("kernel-7")   # no rng: the fallback seed
+decisions = []
+for round_index in range(40):
+    proposals = [ReplicaProposal(replica_id=f"kernel-7-replica-{i}",
+                                 host_id=f"host-{i}",
+                                 lead=(round_index + i) % 3 != 0)
+                 for i in range(3)]
+    preferred = "kernel-7-replica-1" if round_index % 4 == 0 else None
+    decisions.append(election.decide(proposals, preferred).signature())
+env = Environment()
+draws = [
+    StateSynchronizer(env, "kernel-7", checkpoint_manager=None)._rng.random(),
+    LocalScheduler(env, Host(host_id="host-3"))._rng.random(),
+    ContainerRuntime(env, "host-3")._rng.random(),
+    RaftNode(env, Network(env), "node-1", ["node-1", "node-2"],
+             KeyValueStateMachine())._rng.random(),
+]
+print(json.dumps({"decisions": decisions, "draws": draws}))
+"""
+
+
+def test_fallback_seeds_do_not_depend_on_hash_randomization():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        child = subprocess.run([sys.executable, "-c", _FALLBACK_STREAMS],
+                               env=env, capture_output=True, text=True,
+                               timeout=120, check=True)
+        outputs.append(json.loads(child.stdout))
+    assert outputs[0] == outputs[1]
+    # Both branches ran: some elections were designated, some drew.
+    converted = [decision[3] for decision in outputs[0]["decisions"]]
+    assert any(converted) and not all(converted)

@@ -336,6 +336,40 @@ def test_warm_pool_churn_invalidates_lcp_probe():
     assert len(computes) == 2  # pool churn alone forced the recompute
 
 
+@pytest.mark.parametrize("transition", [ReplicaState.EXECUTING,
+                                        ReplicaState.MIGRATING,
+                                        ReplicaState.TERMINATED])
+def test_kernel_decisions_miss_after_bare_replica_state_change(transition):
+    """A replica state change alone — no replica-set change, no host
+    delta, no kernel-side bookkeeping — must invalidate both entries."""
+    hosts = [Host(host_id=f"host-{i}", spec=HostSpec(num_gpus=8))
+             for i in range(3)]
+    kernel = make_kernel(hosts, [ReplicaState.IDLE] * 3)
+    kernel.election.last_executor_id = "k-diff-1"
+    cache = DecisionCache(enabled=True)
+    assert cache.preferred_executor(kernel, 2) == "k-diff-1"
+    before = cache.proposals(kernel, 2)
+    assert [p.lead for p in before] == [True, True, True]
+    assert cache.preferred_executor(kernel, 2) == "k-diff-1"
+    assert cache.proposals(kernel, 2) is before
+    hits, misses = cache.hits, cache.misses
+    assert (hits, misses) == (2, 2)
+
+    version = kernel.decision_version
+    host_versions = [host.version for host in hosts]
+    kernel.replicas[1].state = transition
+    assert kernel.decision_version == version
+    assert [host.version for host in hosts] == host_versions
+
+    preferred = cache.preferred_executor(kernel, 2)
+    assert cache.misses == misses + 1
+    assert preferred == compute_preferred_executor(kernel, 2) != "k-diff-1"
+    after = cache.proposals(kernel, 2)
+    assert cache.misses == misses + 2
+    assert after == kernel.make_proposals(2) != before
+    assert cache.hits == hits
+
+
 def test_namespace_memo_is_stable_and_equal():
     host = Host(host_id="host-a", spec=HostSpec(num_gpus=8))
     kernel = make_kernel([host], [ReplicaState.IDLE])

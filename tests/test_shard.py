@@ -18,6 +18,7 @@ The load-bearing guarantees, in increasing order of integration:
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from repro.shard.merge import (
     merge_timelines_sum,
     merge_timelines_weighted_mean,
 )
-from repro.shard.plan import default_epoch_s
+from repro.shard.plan import MAX_BARRIERS, default_epoch_s
 from repro.shard.runner import _drive_serial
 from repro.workload.trace import SessionTrace, Trace
 
@@ -117,8 +118,17 @@ def test_shard_traces_names_and_interval():
 @given(horizon=st.floats(1.0, 1e7), epoch=st.floats(1.0, 1e5))
 def test_barrier_schedule_covers_horizon(horizon, epoch):
     trace = Trace(name="toy", sessions=_sessions(4))
+    if horizon / epoch > MAX_BARRIERS:
+        # Too many barriers: rejected up front, naming epoch_s, the horizon
+        # and the count, instead of building the schedule.
+        with pytest.raises(ValueError, match="epoch_s") as error:
+            ShardPlan.from_trace(trace, 2, epoch_s=epoch, horizon=horizon)
+        assert str(horizon) in str(error.value)
+        assert str(math.ceil(horizon / epoch)) in str(error.value)
+        return
     plan = ShardPlan.from_trace(trace, 2, epoch_s=epoch, horizon=horizon)
     barriers = plan.barrier_times
+    assert len(barriers) <= MAX_BARRIERS
     assert barriers[-1] == horizon
     assert list(barriers) == sorted(set(barriers))  # strictly increasing
     # Every interior barrier is an exact multiple of the epoch (derived by
@@ -126,6 +136,31 @@ def test_barrier_schedule_covers_horizon(horizon, epoch):
     for k, barrier in enumerate(barriers[:-1]):
         assert barrier == (k + 1) * plan.epoch_s
         assert barrier < horizon
+
+
+@pytest.mark.parametrize("epoch", [float("nan"), float("inf"),
+                                   float("-inf"), 0.0, -60.0])
+def test_plan_rejects_bad_epoch(epoch):
+    trace = Trace(name="toy", sessions=_sessions(4))
+    with pytest.raises(ValueError, match="epoch_s"):
+        ShardPlan.from_trace(trace, 2, epoch_s=epoch, horizon=3600.0)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_plan_rejects_non_finite_horizon(horizon):
+    trace = Trace(name="toy", sessions=_sessions(4))
+    with pytest.raises(ValueError, match="horizon"):
+        ShardPlan.from_trace(trace, 2, horizon=horizon)
+
+
+def test_plan_accepts_exactly_the_barrier_cap():
+    trace = Trace(name="toy", sessions=_sessions(4))
+    plan = ShardPlan.from_trace(trace, 2, epoch_s=1.0,
+                                horizon=float(MAX_BARRIERS))
+    assert plan.num_epochs == MAX_BARRIERS
+    with pytest.raises(ValueError, match="epoch_s"):
+        ShardPlan.from_trace(trace, 2, epoch_s=1.0,
+                             horizon=MAX_BARRIERS + 0.5)
 
 
 def test_plan_round_trips_and_default_epoch():
