@@ -12,6 +12,7 @@ The helpers here implement the request-path steps shared by every policy
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.collector import TaskMetrics
@@ -20,6 +21,19 @@ from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.platform import NotebookOSPlatform
+
+
+def poll_interval(field: str, value: float) -> float:
+    """``value`` if it is a usable poll interval, else ``ValueError``.
+
+    A waiting loop sleeps this long between polls, so zero would poll
+    forever at one instant, and a negative or NaN sleep would fail from
+    inside the engine.  Policies check their intervals when they are built,
+    before the run dispatches anything.
+    """
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{field} must be positive and finite, got {value}")
+    return value
 
 
 class SchedulingPolicy:

@@ -11,18 +11,18 @@ suffers from queueing and cold starts (Figure 9(a) / Figure 17).
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 from repro.api.registry import register_policy
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceRequest
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy
+from repro.policies.base import SchedulingPolicy, poll_interval
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.platform import NotebookOSPlatform
+    from repro.simulation.events import Event
 
 
 @register_policy("batch",
@@ -36,9 +36,12 @@ class BatchPolicy(SchedulingPolicy):
     replication_factor = 1
 
     def __init__(self, queue_poll_interval_s: float = 5.0) -> None:
-        self.queue_poll_interval_s = queue_poll_interval_s
-        self._queue: deque[int] = deque()
-        self._ticket_counter = count(1)
+        self.queue_poll_interval_s = poll_interval(
+            "queue_poll_interval_s", queue_poll_interval_s)
+        #: One ticket per waiting job, in arrival order; ``_queue[0]`` is
+        #: the head.  A follower parks on its ticket until it is handed the
+        #: head (see :meth:`_acquire_host`).
+        self._queue: deque[Event] = deque()
 
     # ------------------------------------------------------------------
     # FCFS admission.
@@ -61,10 +64,13 @@ class BatchPolicy(SchedulingPolicy):
     def decide_batch(self, platform: "NotebookOSPlatform", batch) -> int:
         """Warm one FCFS host probe per distinct GPU request size.
 
-        Queue tickets stay strictly consumption-driven — pre-assigning them
-        here would reorder the FCFS queue — so only the pure host probes
-        are warmed (the clamp and the ``max(gpus, 1)`` floor mirror the
-        per-task effective request computation in ``execute_task``).
+        Only the pure host probes are warmed (the clamp and the
+        ``max(gpus, 1)`` floor mirror the per-task effective request
+        computation in ``execute_task``).  The FCFS queue is left alone: a
+        job joins it only in :meth:`_acquire_host`, where only the head
+        polls, each follower is handed the head when the job ahead of it
+        leaves, and it then polls on its own grid — at the handoff instant
+        itself when that instant is exactly on its grid (the tie rule).
         """
         runstate = getattr(platform, "runstate", None)
         if runstate is None or not runstate.enabled:
@@ -78,18 +84,61 @@ class BatchPolicy(SchedulingPolicy):
         return warmed
 
     def _acquire_host(self, platform: "NotebookOSPlatform", gpus: int):
-        """Simulation process: FCFS-wait until some host has ``gpus`` idle GPUs."""
-        ticket = next(self._ticket_counter)
-        self._queue.append(ticket)
+        """Simulation process: FCFS-wait until some host has ``gpus`` idle GPUs.
+
+        A job's *poll grid* is its arrival time, then every
+        ``queue_poll_interval_s`` after it, each instant the previous one
+        plus the interval in floating point.  Only the head of the queue
+        looks for a host, and it does so on its own grid.  A job that finds
+        the queue empty is the head at once.  A follower parks on its
+        ticket, so at most one job polls at a time, whatever the queue
+        length.
+
+        Handoff: whenever the head leaves — it got a host, was interrupted,
+        or its generator was closed — the ``finally`` block hands the head
+        to the next ticket by succeeding it.  The new head resumes at the
+        handoff instant ``t``, replays the float additions of its grid to
+        the first instant at or after ``t`` and polls there, sleeping until
+        exactly then with ``env.at`` if that instant is later.  A follower
+        therefore costs at most two queue entries, the handoff and that sleep,
+        and first polls where a follower that re-polled every interval
+        would have found itself at the head.
+
+        Tie rule: when ``t`` falls exactly on one of the follower's later
+        grid instants, it polls at ``t``.  A follower that re-polled every
+        interval would have polled at ``t`` only if its own wake-up at ``t``
+        came after the head left, and one interval later otherwise.  A
+        follower that arrived at ``t`` itself, while the old head was still
+        queued, has already looked at the queue and polls one interval
+        later either way.
+        """
+        env = platform.env
+        interval = self.queue_poll_interval_s
+        queue = self._queue
+        ticket = env.event()
+        queue.append(ticket)
         try:
+            if queue[0] is not ticket:
+                arrival = env.now
+                yield ticket  # parked until handed the head
+                now = env.now
+                wake = arrival + interval
+                while wake < now:
+                    wake += interval
+                if wake > now:
+                    yield env.at(wake)
             while True:
-                if self._queue[0] == ticket:
-                    host = self._find_host(platform, gpus)
-                    if host is not None:
-                        return host
-                yield self.queue_poll_interval_s
+                host = self._find_host(platform, gpus)
+                if host is not None:
+                    return host
+                yield interval
         finally:
-            self._queue.remove(ticket)
+            if queue[0] is ticket:
+                queue.popleft()
+                if queue:
+                    queue[0].succeed()
+            else:
+                queue.remove(ticket)
 
     # ------------------------------------------------------------------
     # Cell execution.

@@ -17,7 +17,7 @@ from repro.api.registry import register_policy
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceRequest
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy
+from repro.policies.base import SchedulingPolicy, poll_interval
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,7 +35,7 @@ class LargeContainerPoolPolicy(SchedulingPolicy):
     replication_factor = 1
 
     def __init__(self, gpu_wait_poll_s: float = 5.0) -> None:
-        self.gpu_wait_poll_s = gpu_wait_poll_s
+        self.gpu_wait_poll_s = poll_interval("gpu_wait_poll_s", gpu_wait_poll_s)
 
     # ------------------------------------------------------------------
     # Host / container acquisition.

@@ -15,7 +15,7 @@ from repro.api.registry import register_policy
 from repro.cluster.resources import ResourceRequest
 from repro.core.distributed_kernel import DistributedKernel, ReplicaState
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy
+from repro.policies.base import SchedulingPolicy, poll_interval
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,7 +34,7 @@ class NotebookOSPolicy(SchedulingPolicy):
 
     def __init__(self, gpu_wait_poll_s: float = 2.0,
                  gpu_wait_timeout_s: float = 120.0) -> None:
-        self.gpu_wait_poll_s = gpu_wait_poll_s
+        self.gpu_wait_poll_s = poll_interval("gpu_wait_poll_s", gpu_wait_poll_s)
         self.gpu_wait_timeout_s = gpu_wait_timeout_s
         self._kernels: Dict[str, DistributedKernel] = {}
 

@@ -43,18 +43,28 @@ MAX_EPOCH_S = 1800.0
 #: Default barrier count a run is cut into when no epoch length is given.
 DEFAULT_EPOCHS_PER_RUN = 64
 
-#: Most barriers an explicit ``epoch_s`` may cut a run into.  The schedule
-#: is one float per barrier, so an unbounded count (``epoch_s=1`` over a
-#: 1e7 s horizon) would build millions of them.  The default epoch reaches
-#: this only past a five-year horizon (100k barriers of MAX_EPOCH_S).
+#: Most barriers a run may be cut into.  The schedule is one float per
+#: barrier, so an unbounded count (``epoch_s=1`` over a 1e7 s horizon)
+#: would build millions of them.  An explicit ``epoch_s`` over the cap is
+#: rejected; the default epoch grows past MAX_EPOCH_S to stay under it,
+#: which only happens past a five-year horizon (100k barriers of
+#: MAX_EPOCH_S).
 MAX_BARRIERS = 100_000
 
 
 def default_epoch_s(horizon: float) -> float:
-    """~64 epochs per run, clamped to [MIN_EPOCH_S, MAX_EPOCH_S]."""
+    """~64 epochs per run, clamped to [MIN_EPOCH_S, MAX_EPOCH_S], and never
+    so short that the run needs more than MAX_BARRIERS barriers."""
     if horizon <= 0:
         return MIN_EPOCH_S
-    return min(MAX_EPOCH_S, max(MIN_EPOCH_S, horizon / DEFAULT_EPOCHS_PER_RUN))
+    epoch = max(
+        min(MAX_EPOCH_S, max(MIN_EPOCH_S, horizon / DEFAULT_EPOCHS_PER_RUN)),
+        horizon / MAX_BARRIERS)
+    if horizon / epoch > MAX_BARRIERS:
+        # horizon / (horizon / MAX_BARRIERS) can round to just above the
+        # cap; one ulp more epoch brings it back to exactly the cap.
+        epoch = math.nextafter(epoch, math.inf)
+    return epoch
 
 
 def partition_sessions(sessions: Sequence[SessionTrace],

@@ -377,6 +377,24 @@ def test_simulation_policy_instance_and_kwargs():
     assert not instance_sim.storable
 
 
+@pytest.mark.parametrize("policy, field", [
+    ("batch", "queue_poll_interval_s"),
+    ("lcp", "gpu_wait_poll_s"),
+    ("notebookos", "gpu_wait_poll_s"),
+])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_poll_interval_is_rejected_before_the_run(policy, field, value):
+    # Zero would poll forever at one instant, and a negative or NaN sleep
+    # would fail from inside the engine.  The policy is built before any
+    # platform, so nothing has been dispatched when the error is raised.
+    spec = RunSpec.from_scenario("smoke", policy=policy,
+                                 policy_kwargs={field: value})
+    simulation = Simulation.from_spec(spec)
+    with pytest.raises(ValueError, match=field):
+        simulation.run()
+    assert simulation.platform is None
+
+
 def test_simulation_store_round_trip(tmp_path):
     from repro.experiments.store import ResultStore
 

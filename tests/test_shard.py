@@ -174,6 +174,28 @@ def test_plan_round_trips_and_default_epoch():
     assert default_epoch_s(64 * 600.0) == 600.0     # horizon / 64
 
 
+def test_default_epoch_stays_under_the_barrier_cap():
+    # Past a 1.8e8 s horizon, MAX_EPOCH_S epochs would exceed the cap, so
+    # the default epoch grows instead of building millions of barriers.
+    trace = Trace(name="toy", sessions=_sessions(4))
+    plan = ShardPlan.from_trace(trace, 2, horizon=1e10)
+    assert plan.num_epochs <= MAX_BARRIERS
+    assert plan.barrier_times[-1] == 1e10
+    assert default_epoch_s(1.8e8) == 1800.0         # unchanged up to here
+    # Here horizon / (horizon / MAX_BARRIERS) rounds to just above the cap.
+    horizon = 254634029679.62918
+    assert math.ceil(horizon / default_epoch_s(horizon)) == MAX_BARRIERS
+
+
+@settings(max_examples=200, deadline=None)
+@given(horizon=st.floats(1.0, 1e15))
+def test_default_epoch_never_needs_more_than_the_cap(horizon):
+    epoch = default_epoch_s(horizon)
+    assert math.ceil(horizon / epoch) <= MAX_BARRIERS
+    if horizon <= 1.8e8:
+        assert epoch == min(1800.0, max(60.0, horizon / 64))
+
+
 # ----------------------------------------------------------------------
 # Frame merge and the mailbox.
 # ----------------------------------------------------------------------
