@@ -96,7 +96,8 @@ def build_state(num_hosts: int, seed: int):
             resource_request=ResourceRequest(gpus=2))
         for index, host in enumerate(rng.sample(hosts, 3)):
             container = Container(host_id=host.host_id,
-                                  resources=ResourceRequest(gpus=2))
+                                  resources=ResourceRequest(gpus=2),
+                                  container_id=f"bench-container-{k}-{index}")
             replica = KernelReplica(
                 replica_id=f"bench-kernel-{k}-{index}",
                 kernel_id=kernel.kernel_id, replica_index=index,

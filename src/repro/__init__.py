@@ -6,11 +6,11 @@ Notebook Platform for Interactive Training with On-Demand GPUs*
 
 * ``repro.simulation`` — a discrete-event engine, latency-modelled network,
   and seeded distributions;
-* ``repro.raft`` — a from-scratch Raft consensus implementation;
 * ``repro.cluster`` — GPU servers, containers, a pre-warmed container pool,
   a distributed data store, and a VM provisioner;
-* ``repro.jupyter`` — the Jupyter messaging layer, sessions and clients;
-* ``repro.statesync`` — AST-based kernel state analysis and replication;
+* ``repro.jupyter`` — notebook sessions;
+* ``repro.statesync`` — AST-based kernel state analysis and replication,
+  with the Raft commit of each sync modelled as a latency;
 * ``repro.core`` — the NotebookOS control plane (global/local schedulers,
   distributed kernels, executor election, migration, auto-scaling);
 * ``repro.policies`` — the Reservation, Batch, NotebookOS, LCP, and Oracle
@@ -36,11 +36,9 @@ Quickstart::
     result = Simulation.from_scenario("smoke", policy="notebookos").run()
     print(result.summary())
 
-(``repro.run_experiment`` remains as a deprecated shim over the façade.)
-
 The heavyweight platform symbols are imported lazily (PEP 562) so that the
-substrate packages (``repro.simulation``, ``repro.raft``, …) can be used on
-their own without pulling in the full control plane.
+substrate packages (``repro.simulation``, ``repro.cluster``, …) can be used
+on their own without pulling in the full control plane.
 """
 
 from repro.version import __version__
@@ -50,13 +48,11 @@ __all__ = [
     "NotebookOSPlatform",
     "PlatformConfig",
     "api",
-    "run_experiment",
     "__version__",
 ]
 
 _LAZY_EXPORTS = {
     "NotebookOSPlatform": ("repro.core.platform", "NotebookOSPlatform"),
-    "run_experiment": ("repro.core.platform", "run_experiment"),
     "ClusterConfig": ("repro.core.config", "ClusterConfig"),
     "PlatformConfig": ("repro.core.config", "PlatformConfig"),
 }

@@ -31,10 +31,6 @@ Extending (see EXPERIMENTS.md, "Extending repro")::
         .on(api.MIGRATION, lambda t, k, src, dst: migrations.append((k, src)))
         .run())
 
-The legacy entry points (``repro.run_experiment``,
-``repro.policies.make_policy``) remain as thin deprecated shims over this
-façade.
-
 The hook and registry primitives are imported eagerly (they depend on
 nothing); the builder, spec, and sweep re-exports resolve lazily (PEP 562)
 so that core modules can import :mod:`repro.api.hooks` without dragging the

@@ -13,11 +13,10 @@ hard-wired into ``core/platform.py``::
         ...
 
 Every entry point that accepts a policy *name* — ``repro.api.Simulation``,
-the ``repro.experiments`` sweeps and CLI, the benchmarks, and the deprecated
-``run_experiment`` shim — resolves it through the default registry, so a
-registered policy is immediately runnable everywhere (including by name in a
-:class:`~repro.api.RunSpec`, provided the registration is importable in
-worker processes).
+the ``repro.experiments`` sweeps and CLI, and the benchmarks — resolves it
+through the default registry, so a registered policy is immediately runnable
+everywhere (including by name in a :class:`~repro.api.RunSpec`, provided the
+registration is importable in worker processes).
 
 A registration captures the policy's *capabilities* — the attributes the
 platform consults when wiring a run (whether the auto-scaler runs, the

@@ -1,7 +1,7 @@
 """The ``Simulation`` builder: one façade over every way to run the platform.
 
-Before this façade existed there were three parallel entry points —
-``repro.run_experiment`` (ad-hoc trace + kwargs), ``repro.experiments``
+Before this façade existed there were three parallel entry points — an
+ad-hoc function taking a trace plus keyword arguments, ``repro.experiments``
 (specs, sweeps, the result store), and hand-assembled
 ``NotebookOSPlatform`` wiring in the examples and benchmarks.  ``Simulation``
 unifies them::
@@ -25,8 +25,8 @@ unifies them::
 
 ``run()`` reproduces the legacy entry points *bit for bit*: the trace
 generation, config resolution, seed override, and platform wiring happen in
-exactly the order ``run_experiment`` / ``experiments.runner`` performed
-them, which the golden-digest and API-regression tests pin.
+exactly the order the old ad-hoc runner and ``experiments.runner``
+performed them, which the golden-digest and API-regression tests pin.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def peak_gpu_demand(trace: Trace) -> int:
 
 
 def default_cluster_config(policy, trace: Trace) -> ClusterConfig:
-    """Per-policy default cluster sizing (the ``run_experiment`` defaults).
+    """Per-policy default cluster sizing for runs that configure none.
 
     Elastic policies (NotebookOS, LCP) start small and rely on auto-scaling;
     Reservation and Batch get a cluster sized to the trace's peak demand,
@@ -365,10 +365,10 @@ class Simulation:
     def build(self, trace: Optional[Trace] = None):
         """Wire (but do not run) the platform; returns it.
 
-        The construction order matches the legacy ``run_experiment`` exactly:
-        resolve the policy, resolve configs (preset, then explicit
-        overrides), apply the seed to the platform config, size the cluster
-        per policy when nothing else chose one.
+        The construction order is pinned by the golden digests: resolve the
+        policy, resolve configs (preset, then explicit overrides), apply the
+        seed to the platform config, size the cluster per policy when nothing
+        else chose one.
         """
         from repro.core.platform import NotebookOSPlatform
 

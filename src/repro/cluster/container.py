@@ -13,15 +13,12 @@ system).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.simulation.distributions import SeededRandom, stable_seed
 from repro.simulation.engine import Environment
 from repro.cluster.resources import ResourceRequest
-
-_CONTAINER_IDS = count(1)
 
 
 class ContainerState(enum.Enum):
@@ -69,7 +66,9 @@ class Container:
 
     host_id: str
     resources: ResourceRequest
-    container_id: str = field(default_factory=lambda: f"container-{next(_CONTAINER_IDS)}")
+    #: Minted per provision from ``env.next_serial``, so ids restart in
+    #: every run and never depend on what ran before in the process.
+    container_id: str
     state: ContainerState = ContainerState.PROVISIONING
     kernel_id: Optional[str] = None
     replica_id: Optional[str] = None
@@ -142,8 +141,10 @@ class ContainerRuntime:
         provisions in one pass and sleep through their waits with single
         scheduled wake-ups.
         """
-        container = Container(host_id=self.host_id, resources=resources,
-                              created_at=self.env.now, was_prewarmed=prewarmed)
+        container = Container(
+            host_id=self.host_id, resources=resources,
+            container_id=f"container-{self.env.next_serial('container')}",
+            created_at=self.env.now, was_prewarmed=prewarmed)
         self.containers[container.container_id] = container
         if prewarmed:
             delay = self.latency_model.warm_start(self._rng)

@@ -8,15 +8,13 @@ registration time — and notifies the platform when a host is ready.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, List, Optional
 
 from repro.cluster.host import Host, HostSpec
 from repro.simulation.distributions import SeededRandom
 from repro.simulation.engine import Environment
-
-_REQUEST_IDS = count(1)
 
 
 @dataclass
@@ -25,7 +23,9 @@ class ProvisioningRequest:
 
     requested_at: float
     reason: str
-    request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
+    #: Minted per request from ``env.next_serial``, so ids restart in every
+    #: run and never depend on what ran before in the process.
+    request_id: int
     completed_at: Optional[float] = None
     host: Optional[Host] = None
 
@@ -76,7 +76,9 @@ class VMProvisioner:
         """Simulation process: boot one new GPU server VM and return the Host."""
         import math
 
-        request = ProvisioningRequest(requested_at=self.env.now, reason=reason)
+        request = ProvisioningRequest(
+            requested_at=self.env.now, reason=reason,
+            request_id=self.env.next_serial("provisioning-request"))
         self.requests.append(request)
         boot_time = max(20.0, self._rng.lognormvariate(
             math.log(self.boot_time_mean), self.boot_time_sigma))

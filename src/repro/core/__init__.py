@@ -7,7 +7,8 @@ notebook platform itself.
 * :mod:`repro.core.placement` — kernel replica placement policies and the
   subscription-ratio accounting of §3.4.1;
 * :mod:`repro.core.election` — the executor replica election protocol of
-  §3.2.2 (LEAD / YIELD / VOTE proposals over the kernel's Raft log);
+  §3.2.2 (LEAD / YIELD / VOTE proposals, with the kernel's Raft round trips
+  modelled as latencies);
 * :mod:`repro.core.gpu_binding` — dynamic GPU binding and the host↔GPU
   model-parameter copy costs of §3.3;
 * :mod:`repro.core.distributed_kernel` — kernel replicas and the distributed
@@ -16,8 +17,8 @@ notebook platform itself.
 * :mod:`repro.core.global_scheduler` — the Global Scheduler: placement,
   routing, migration, and failure handling;
 * :mod:`repro.core.autoscaler` — the auto-scaling policy of §3.4.2;
-* :mod:`repro.core.platform` — the :class:`NotebookOSPlatform` facade and the
-  :func:`run_experiment` entry point used by examples and benchmarks.
+* :mod:`repro.core.platform` — the :class:`NotebookOSPlatform` facade that
+  :class:`repro.api.Simulation` builds and runs.
 """
 
 from repro.core.config import ClusterConfig, PlatformConfig
@@ -28,7 +29,7 @@ from repro.core.placement import LeastLoadedPlacement, PlacementDecision, Placem
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.global_scheduler import GlobalScheduler
 from repro.core.autoscaler import AutoScaler
-from repro.core.platform import NotebookOSPlatform, run_experiment
+from repro.core.platform import NotebookOSPlatform
 
 __all__ = [
     "AutoScaler",
@@ -47,5 +48,4 @@ __all__ = [
     "PlatformConfig",
     "ReplicaProposal",
     "ReplicaState",
-    "run_experiment",
 ]

@@ -69,12 +69,8 @@ class PlatformConfig:
     # Data store backend for large-object checkpointing (§3.2.4).
     datastore_backend: str = "s3"
 
-    # Kernel coordination fidelity: "model" samples Raft round-trip latencies
-    # from a calibrated distribution; "raft" runs a live Raft group per kernel
-    # (accurate but only practical for small workloads / protocol tests).
-    kernel_fidelity: str = "model"
-
-    # Control-plane hop latencies (seconds).
+    # Control-plane hop latencies (seconds).  The Jupyter Server and the
+    # network between components are modelled only by these constants.
     jupyter_processing_s: float = 0.002
     gs_processing_s: float = 0.003
     ls_processing_s: float = 0.002
@@ -124,8 +120,6 @@ class PlatformConfig:
             raise ValueError("a replication factor of 2 is unsupported by Raft")
         if self.autoscaler_multiplier < 1.0:
             raise ValueError("autoscaler_multiplier must be >= 1.0")
-        if self.kernel_fidelity not in ("model", "raft"):
-            raise ValueError("kernel_fidelity must be 'model' or 'raft'")
         if self.metrics_sample_interval_s <= 0:
             raise ValueError("metrics_sample_interval_s must be positive")
         if self.metrics_sketch_compression < 20:

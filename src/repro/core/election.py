@@ -9,9 +9,8 @@ winner.  If all replicas YIELD, the election fails and the Global Scheduler
 migrates one replica to a host with available resources.
 
 The protocol logic here is exact; the Raft round-trip latency of the
-propose/commit/vote cycle is either taken from a live Raft group (fidelity
-``"raft"``) or sampled from a calibrated latency model (fidelity ``"model"``),
-as configured in :class:`repro.core.config.PlatformConfig`.
+propose/commit/vote cycle is sampled from a calibrated latency model rather
+than taken from a simulated Raft group.
 """
 
 from __future__ import annotations

@@ -198,8 +198,6 @@ class ClusterState:
 class GlobalScheduler:
     """Creates, routes to, migrates, and tears down distributed kernels."""
 
-    ADDRESS = "global-scheduler"
-
     def __init__(self, env: Environment, cluster: ClusterState,
                  platform_config: PlatformConfig, cluster_config: ClusterConfig,
                  provisioner: VMProvisioner, prewarmer: ContainerPrewarmer,

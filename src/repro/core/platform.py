@@ -1,10 +1,11 @@
 """The NotebookOS platform facade and experiment runner.
 
 :class:`NotebookOSPlatform` wires every component together — the simulation
-environment, network, GPU server cluster, Local and Global Schedulers,
-pre-warmed container pool, distributed data store, auto-scaler, Jupyter
-Server, and metrics collector — and replays a workload trace against a
-scheduling policy.
+environment, GPU server cluster, Local and Global Schedulers, pre-warmed
+container pool, distributed data store, auto-scaler, and metrics collector —
+and replays a workload trace against a scheduling policy.  The Jupyter Server
+and the network hops between components are modelled as the per-hop
+latencies in :class:`~repro.core.config.PlatformConfig`.
 
 Every lifecycle occurrence (session start/end, task submit/complete,
 placement decisions, checkpoints, migrations, scale events) is published
@@ -13,8 +14,7 @@ as the bus's *first* subscriber, so custom instrumentation observes a
 collector that already reflects each event.  Hook callbacks are synchronous
 and add zero events to the simulation timeline.
 
-Preferred entry point: the :class:`repro.api.Simulation` builder.
-:func:`run_experiment` below remains as a thin deprecated shim over it::
+Entry point: the :class:`repro.api.Simulation` builder::
 
     from repro.api import Simulation
 
@@ -25,7 +25,7 @@ Preferred entry point: the :class:`repro.api.Simulation` builder.
 from __future__ import annotations
 
 import time as _wallclock
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.api.hooks import (
     RUN_END,
@@ -47,7 +47,6 @@ from repro.core.gpu_binding import GpuBindingModel
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.placement import LeastLoadedPlacement
 from repro.core.runstate import RunState
-from repro.jupyter.server import JupyterServer
 from repro.jupyter.session import NotebookSession
 from repro.metrics.collector import EventKind, ExperimentResult, MetricsCollector
 from repro.metrics.latency_breakdown import LatencyBreakdown
@@ -55,7 +54,6 @@ from repro.profiling.memory import memory_stats
 from repro.simulation.distributions import SeededRandom
 from repro.simulation.engine import Environment
 from repro.simulation.events import AllOf
-from repro.simulation.network import Network
 from repro.workload.trace import SessionTrace, Trace
 
 
@@ -73,7 +71,6 @@ class NotebookOSPlatform:
 
         self.env = Environment()
         self.rng = SeededRandom(self.config.seed)
-        self.network = Network(self.env, rng=self.rng.substream("network"))
         self.metrics = MetricsCollector(
             sample_interval=self.config.metrics_sample_interval_s,
             sketch_mode=self.config.metrics_sketch_mode,
@@ -129,8 +126,6 @@ class NotebookOSPlatform:
         self.global_scheduler.decisions = self.runstate.decisions
         self.autoscaler = AutoScaler(self.env, self.global_scheduler,
                                      self.config, self.cluster_config)
-        self.jupyter_server = JupyterServer(
-            self.env, self.network, processing_delay=self.config.jupyter_processing_s)
 
         # Run-time session bookkeeping.
         self.sessions: Dict[str, NotebookSession] = {}
@@ -385,7 +380,6 @@ class NotebookOSPlatform:
             gpus_required=session.gpus_requested, created_at=env.now)
         notebook_session.activate(env.now)
         self.sessions[session.session_id] = notebook_session
-        self.jupyter_server.register_session(notebook_session)
         self.active_session_count += 1
         publish(PLATFORM_EVENT, env.now, EventKind.SESSION_STARTED,
                 session.session_id)
@@ -468,53 +462,3 @@ class NotebookOSPlatform:
                    cluster.subscription_ratio(replication),
                    cluster.active_host_count)
             yield interval
-
-
-_RUN_EXPERIMENT_WARNED = False
-
-
-def run_experiment(trace: Trace, policy: Union[str, object] = "notebookos",
-                   cluster_config: Optional[ClusterConfig] = None,
-                   platform_config: Optional[PlatformConfig] = None,
-                   seed: Optional[int] = None) -> ExperimentResult:
-    """Deprecated shim: run one trace under one policy.
-
-    Use :class:`repro.api.Simulation` instead — this function delegates to
-    it (bit-identically; the API regression tests pin the equivalence)::
-
-        result = (Simulation.from_trace(trace)
-                  .with_policy(policy).with_seed(seed)
-                  .run())
-
-    ``policy`` may be a registry name (``"notebookos"``, ``"reservation"``,
-    ``"batch"``, ``"lcp"``, or anything registered with
-    :func:`repro.api.register_policy`) or an already constructed policy
-    object.  When no cluster configuration is supplied, a per-policy default
-    is chosen (see :func:`repro.api.simulation.default_cluster_config`).
-
-    Emits ``DeprecationWarning`` exactly once per process — a long sweep
-    looping over this shim should nudge, not flood.
-    """
-    import warnings
-
-    from repro.api.registry import UnknownPolicyError
-    from repro.api.simulation import Simulation
-
-    global _RUN_EXPERIMENT_WARNED
-    if not _RUN_EXPERIMENT_WARNED:
-        _RUN_EXPERIMENT_WARNED = True
-        warnings.warn(
-            "repro.run_experiment is deprecated; use repro.api.Simulation "
-            "(e.g. Simulation.from_trace(trace).with_policy(policy).run())",
-            DeprecationWarning, stacklevel=2)
-
-    try:
-        simulation = Simulation.from_trace(trace).with_policy(policy)
-    except UnknownPolicyError as error:
-        # Historical contract: unknown policy names raise ValueError here.
-        raise ValueError(error.args[0]) from None
-    if seed is not None:
-        simulation.with_seed(seed)
-    simulation.with_config(platform_config=platform_config,
-                           cluster_config=cluster_config)
-    return simulation.run()

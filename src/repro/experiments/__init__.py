@@ -1,8 +1,8 @@
 """Parallel sweep orchestration with a persistent result store.
 
-The ``repro.experiments`` subsystem is the layer between the one-shot
-:func:`repro.run_experiment` entry point and the paper-scale evaluation
-matrix (policies x seeds x scenarios):
+The ``repro.experiments`` subsystem is the layer between one
+:class:`repro.api.Simulation` run and the paper-scale evaluation matrix
+(policies x seeds x scenarios):
 
 * :mod:`repro.experiments.scenarios` — named, parameterized scenario specs
   with a content hash, the scenario registry (``excerpt``, ``summer``,

@@ -155,7 +155,7 @@ def resolve_configs(spec: ScenarioSpec, trace: Trace
 
 
 def _default_configs(spec: ScenarioSpec, trace: Trace):
-    # None lets run_experiment pick its per-policy defaults.
+    # None lets the Simulation builder pick its per-policy defaults.
     return None, None
 
 
@@ -169,7 +169,7 @@ def long_run_platform_config() -> PlatformConfig:
 
 
 def long_run_cluster_config(policy: str, trace: Trace) -> ClusterConfig:
-    """Cluster sizing for the 90-day runs (mirrors run_experiment defaults)."""
+    """Per-policy cluster sizing for the 90-day runs."""
     peak = max((sum(s.gpus_requested for s in trace
                     if s.start_time <= t < s.end_time)
                 for t in [trace.duration * f for f in (0.25, 0.5, 0.75, 0.999)]),

@@ -1,46 +1,21 @@
-"""The Jupyter-compatible messaging layer.
+"""Notebook sessions.
 
 NotebookOS reuses the IPython/Jupyter messaging protocol so that any Jupyter
-client works unmodified (§4).  This package models the pieces of that stack
-the control plane interacts with:
+client works unmodified (§4).  The simulation does not model that wire
+protocol: the Jupyter Server and Gateway hops of Figure 3 appear only as the
+per-hop latencies :meth:`repro.policies.base.SchedulingPolicy.request_ingress`
+adds.  What remains here is the session state the platform keeps per
+notebook:
 
-* :mod:`repro.jupyter.messages` — the wire messages (``execute_request``,
-  ``execute_reply``, ``yield_request``, kernel lifecycle messages);
 * :mod:`repro.jupyter.session` — a persistent notebook session with its cells
-  and execution history;
-* :mod:`repro.jupyter.server` — the Jupyter Server front end that accepts
-  client messages and forwards them to the Global Scheduler;
-* :mod:`repro.jupyter.client` — a notebook client that submits cell
-  executions (driven by the workload driver);
-* :mod:`repro.jupyter.provisioner` — the Gateway (kernel) provisioner used to
-  integrate with the Jupyter kernel-lifecycle API.
+  and execution history.
 """
 
-from repro.jupyter.messages import (
-    ExecuteReply,
-    ExecuteRequest,
-    JupyterMessage,
-    MessageType,
-    YieldRequest,
-    new_message_id,
-)
 from repro.jupyter.session import CellExecution, NotebookCell, NotebookSession, SessionState
-from repro.jupyter.server import JupyterServer
-from repro.jupyter.client import NotebookClient
-from repro.jupyter.provisioner import GatewayProvisioner
 
 __all__ = [
     "CellExecution",
-    "ExecuteReply",
-    "ExecuteRequest",
-    "GatewayProvisioner",
-    "JupyterMessage",
-    "JupyterServer",
-    "MessageType",
     "NotebookCell",
-    "NotebookClient",
     "NotebookSession",
     "SessionState",
-    "YieldRequest",
-    "new_message_id",
 ]

@@ -20,14 +20,9 @@ Each class registers itself with the :mod:`repro.api` policy registry
 :class:`~repro.api.Simulation` builder, the experiment sweeps and CLI, the
 benchmarks — resolves policy names.  Third-party policies register the same
 way; nothing here is special-cased (see EXPERIMENTS.md, "Extending repro").
-
-``POLICY_REGISTRY`` and :func:`make_policy` below are deprecated shims kept
-for source compatibility; use ``repro.api.default_policy_registry()``.
+To build a policy by name, use ``repro.api.default_policy_registry()``.
 """
 
-import warnings
-
-from repro.api.registry import default_policy_registry
 from repro.policies.base import SchedulingPolicy
 from repro.policies.notebookos import NotebookOSPolicy
 from repro.policies.reservation import ReservationPolicy
@@ -35,56 +30,11 @@ from repro.policies.batch import BatchPolicy
 from repro.policies.lcp import LargeContainerPoolPolicy
 from repro.policies.oracle import oracle_gpu_timeline
 
-#: Deprecated: name -> class mapping, kept for source compatibility with the
-#: pre-``repro.api`` layout.  New code should use
-#: ``repro.api.default_policy_registry()``, which also sees policies
-#: registered by downstream code.
-POLICY_REGISTRY = {
-    "notebookos": NotebookOSPolicy,
-    "reservation": ReservationPolicy,
-    "batch": BatchPolicy,
-    "lcp": LargeContainerPoolPolicy,
-    "notebookos-lcp": LargeContainerPoolPolicy,
-}
-
-
-_MAKE_POLICY_WARNED = False
-
-
-def make_policy(name: str, **kwargs) -> SchedulingPolicy:
-    """Deprecated shim: instantiate a policy by its registry name.
-
-    Delegates to the :mod:`repro.api` policy registry (so it also resolves
-    policies registered after import, unlike the frozen ``POLICY_REGISTRY``
-    dict).  Unknown names raise ``ValueError`` exactly as before.
-
-    Emits ``DeprecationWarning`` exactly once per process — a long sweep
-    calling the shim thousands of times should nudge, not flood (warning
-    dedup by location does not help callers that loop from many sites, so
-    the shim tracks it itself).
-    """
-    from repro.api.registry import UnknownPolicyError
-
-    global _MAKE_POLICY_WARNED
-    if not _MAKE_POLICY_WARNED:
-        _MAKE_POLICY_WARNED = True
-        warnings.warn(
-            "repro.policies.make_policy is deprecated; use "
-            "repro.api.default_policy_registry().create(name, **kwargs)",
-            DeprecationWarning, stacklevel=2)
-    try:
-        return default_policy_registry().create(name, **kwargs)
-    except UnknownPolicyError as error:
-        raise ValueError(error.args[0]) from None
-
-
 __all__ = [
     "BatchPolicy",
     "LargeContainerPoolPolicy",
     "NotebookOSPolicy",
-    "POLICY_REGISTRY",
     "ReservationPolicy",
     "SchedulingPolicy",
-    "make_policy",
     "oracle_gpu_timeline",
 ]

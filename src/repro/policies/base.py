@@ -36,6 +36,18 @@ def poll_interval(field: str, value: float) -> float:
     return value
 
 
+def wait_bound(field: str, value: float) -> float:
+    """``value`` if it is a usable wait length or timeout, else ``ValueError``.
+
+    Unlike a poll interval, zero is fine here: no sleep, or a timeout that
+    expires at the first check.  A negative, NaN or infinite value would
+    fail from inside the engine, never expire, or silently act as zero.
+    """
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{field} must be non-negative and finite, got {value}")
+    return value
+
+
 class SchedulingPolicy:
     """Base class for the NotebookOS policy and the evaluation baselines."""
 

@@ -15,7 +15,7 @@ from repro.api.registry import register_policy
 from repro.cluster.resources import ResourceRequest
 from repro.core.distributed_kernel import DistributedKernel, ReplicaState
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy, poll_interval
+from repro.policies.base import SchedulingPolicy, poll_interval, wait_bound
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,7 +35,8 @@ class NotebookOSPolicy(SchedulingPolicy):
     def __init__(self, gpu_wait_poll_s: float = 2.0,
                  gpu_wait_timeout_s: float = 120.0) -> None:
         self.gpu_wait_poll_s = poll_interval("gpu_wait_poll_s", gpu_wait_poll_s)
-        self.gpu_wait_timeout_s = gpu_wait_timeout_s
+        self.gpu_wait_timeout_s = wait_bound("gpu_wait_timeout_s",
+                                             gpu_wait_timeout_s)
         self._kernels: Dict[str, DistributedKernel] = {}
 
     # ------------------------------------------------------------------
@@ -261,8 +262,7 @@ class NotebookOSPolicy(SchedulingPolicy):
         namespace = (runstate.decisions.namespace_objects(kernel)
                      if runstate is not None else kernel.namespace_objects())
         report = yield from kernel.synchronizer.synchronize(
-            task.code, namespace, executor_replica,
-            node_id=executor_replica)
+            task.code, namespace, node_id=executor_replica)
         if report.raft_sync_latency > 0:
             platform.metrics.raft_sync_latencies.append(report.raft_sync_latency)
         return report

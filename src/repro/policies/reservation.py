@@ -17,7 +17,7 @@ from repro.cluster.container import Container
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceRequest
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy
+from repro.policies.base import SchedulingPolicy, wait_bound
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +47,7 @@ class ReservationPolicy(SchedulingPolicy):
     def __init__(self, state_persist_s: float = 0.15) -> None:
         # Small post-execution state persistence on the critical path
         # (Figure 16, step 9): kernels flush small updated state after a cell.
-        self.state_persist_s = state_persist_s
+        self.state_persist_s = wait_bound("state_persist_s", state_persist_s)
         self._reservations: Dict[str, _Reservation] = {}
 
     # ------------------------------------------------------------------

@@ -356,8 +356,8 @@ class Process(Event):
             self._exception = exception
             if isinstance(exception, Interrupt):
                 # Dying of an uncaught Interrupt is deliberate cancellation
-                # (e.g. RaftNode.stop tearing down its loops), not an error
-                # the engine should escalate.  Waiters still receive it.
+                # (an owner interrupting a loop it no longer needs), not an
+                # error the engine should escalate.  Waiters still receive it.
                 self.defused = True
         else:
             self._value = value

@@ -1,20 +1,18 @@
 """A latency-modelled message-passing network.
 
-Every NotebookOS component — Jupyter server, global scheduler, local
-schedulers, kernel replicas, Raft nodes, the distributed data store — is
-reachable at a :class:`NetworkAddress`.  Sending a :class:`Message` delivers
-it into the destination's inbox (:class:`~repro.simulation.queues.Store`)
-after a per-link latency drawn from the link's latency model.
+Endpoints are reachable at a :class:`NetworkAddress`.  Sending a
+:class:`Message` delivers it into the destination's inbox
+(:class:`~repro.simulation.queues.Store`) after a per-link latency drawn from
+the link's latency model.
 
-Links can also be configured to *drop* messages with a given probability and
-to be partitioned and healed at runtime, which is how the failure-injection
-tests exercise Raft's and the executor election protocol's fault tolerance.
+Links can also be configured to *drop* or *duplicate* messages with a given
+probability and to be partitioned and healed at runtime.  No replay builds a
+network: the platform models its control-plane hops as latencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.simulation.engine import Environment
@@ -23,13 +21,12 @@ from repro.simulation.queues import Store
 
 NetworkAddress = str
 
-_MESSAGE_IDS = count(1)
-
 
 @dataclass
 class Message:
     """A message in flight between two network endpoints."""
 
+    message_id: int
     source: NetworkAddress
     destination: NetworkAddress
     kind: str
@@ -37,7 +34,6 @@ class Message:
     size_bytes: int = 0
     sent_at: float = 0.0
     delivered_at: float = 0.0
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
 
     @property
     def latency(self) -> float:
@@ -51,8 +47,7 @@ class Link:
 
     ``duplicate_probability`` models at-least-once delivery (retransmitting
     middleboxes, retried RPCs): each sent message is delivered a second time
-    with that probability, after an independently drawn delay.  Protocol
-    tests use it to check that Raft treats duplicated requests idempotently.
+    with that probability, after an independently drawn delay.
     """
 
     latency_fn: Callable[[], float]
@@ -97,7 +92,7 @@ class Network:
         return inbox
 
     def unregister(self, address: NetworkAddress) -> None:
-        """Remove an endpoint (e.g. a terminated kernel replica container)."""
+        """Remove an endpoint."""
         self._inboxes.pop(address, None)
 
     def is_registered(self, address: NetworkAddress) -> bool:
@@ -158,7 +153,8 @@ class Network:
         """Send a message; returns it, or ``None`` if it was dropped."""
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        message = Message(source=source, destination=destination, kind=kind,
+        message = Message(message_id=self.env.next_serial("message"),
+                          source=source, destination=destination, kind=kind,
                           payload=payload, size_bytes=size_bytes,
                           sent_at=self.env.now)
         link = self.link_for(source, destination)
@@ -166,8 +162,7 @@ class Network:
             self.messages_dropped += 1
             return None
         delay = link.delivery_delay(size_bytes)
-        # defer() skips the Timeout allocation: one deferred call per message
-        # on what is the hottest path of Raft-heavy workloads.
+        # defer() skips the Timeout allocation: one deferred call per message.
         self.env.defer(delay, lambda _call: self._deliver(message))
         if link.duplicate_probability > 0 and self._rng is not None \
                 and self._rng.random() < link.duplicate_probability:
@@ -200,9 +195,8 @@ class Network:
         """Send a message and return an event the sender can wait on.
 
         The callee is expected to reply by triggering ``payload['reply_to']``.
-        This is a lightweight convenience used by control-plane RPCs
-        (e.g. ``StartKernelReplica``) where the request/response pairing is
-        one-to-one.
+        A lightweight convenience for RPCs whose request/response pairing
+        is one-to-one.
         """
         reply = self.env.event()
         wrapped = {"request": payload, "reply_to": reply}

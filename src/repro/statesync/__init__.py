@@ -9,9 +9,9 @@ replicas up to date (§3.2.4).  This package implements that pipeline:
   travel through the Raft log, large objects (model parameters, datasets) are
   checkpointed to the distributed data store and referenced by pointer;
 * :mod:`repro.statesync.checkpoint` — the large-object checkpoint manager;
-* :mod:`repro.statesync.synchronizer` — the Raft-backed state synchronizer
-  that ties the pieces together and records the latencies reported in
-  Figure 11.
+* :mod:`repro.statesync.synchronizer` — the state synchronizer that ties
+  the pieces together and records the latencies reported in Figure 11 (the
+  Raft commit is a sampled latency, not a simulated Raft group).
 """
 
 from repro.statesync.ast_analysis import (

@@ -1,4 +1,4 @@
-"""The Raft-backed kernel state synchronizer.
+"""The kernel state synchronizer.
 
 After each cell execution, the executor replica:
 
@@ -12,14 +12,9 @@ After each cell execution, the executor replica:
 Both steps happen off the user-request critical path; the high inter-arrival
 times of IDLT workloads hide the latency (§5.4 / Fig. 11).
 
-The synchronizer supports two fidelity modes:
-
-* **raft mode** — small-state replication is an actual proposal on a live
-  :class:`~repro.raft.cluster.RaftCluster` (used by integration tests and the
-  Figure 11 micro-benchmark);
-* **modeled mode** — the Raft round-trip latency is drawn from a calibrated
-  log-normal distribution (used by cluster-scale experiments where simulating
-  per-kernel heartbeats for days of virtual time would be wasteful).
+The Raft commit of step 2 is not simulated message by message: its round
+trip is drawn from a log-normal :class:`SyncLatencyModel`, because running
+per-kernel heartbeats for days of virtual time would be wasteful.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.raft.cluster import RaftCluster
 from repro.simulation.distributions import SeededRandom, stable_seed
 from repro.simulation.engine import Environment
 from repro.statesync.ast_analysis import CodeAnalysis, analyze_code
@@ -40,9 +34,12 @@ from repro.statesync.objects import LARGE_OBJECT_THRESHOLD_BYTES, NamespaceObjec
 class SyncLatencyModel:
     """Log-normal model of a Raft small-state commit round trip.
 
-    Default parameters are calibrated so the p90/p95/p99 latencies match the
-    magnitudes reported in Figure 11 of the paper (54.79 ms / 66.69 ms /
-    268.25 ms).
+    Figure 11 of the paper reports p90 / p95 / p99 sync latencies of
+    54.79 / 66.69 / 268.25 ms.  The defaults (median 15 ms, sigma 1.05)
+    give analytic quantiles of 57.6 / 84.4 / 172.6 ms (200,000 samples
+    agree within 3%), so only p90 matches: p95 is high and p99 is low.
+    With sigma 1.05 the ratio p99 / p90 is 3.0, against the paper's 4.9, so
+    no choice of median fits all three.
     """
 
     median_s: float = 0.015
@@ -80,25 +77,21 @@ class StateSynchronizer:
 
     def __init__(self, env: Environment, kernel_id: str,
                  checkpoint_manager: CheckpointManager,
-                 raft_cluster: Optional[RaftCluster] = None,
                  latency_model: Optional[SyncLatencyModel] = None,
                  rng: Optional[SeededRandom] = None) -> None:
         self.env = env
         self.kernel_id = kernel_id
         self.checkpoint_manager = checkpoint_manager
-        self.raft_cluster = raft_cluster
         self.latency_model = latency_model or SyncLatencyModel()
         self._rng = rng or SeededRandom(stable_seed(kernel_id))
         self.sync_latencies: List[float] = []
         # code -> full sync plan: (namespace list object, small, large,
-        # sorted small names, sorted large names, small bytes, large bytes).
-        # An entry is valid only while the caller passes the *same*
-        # namespace list object (identity check): the kernel-level namespace
-        # memo in repro.core.runstate returns a stable list, so repeated
-        # executions of the same cell skip the filter/partition scans AND
-        # the per-call name sorts + byte sums — the Raft command tuple and
-        # the report byte counts come straight from the plan.  The cache key
-        # is the same source text the content-keyed AST memo
+        # small bytes, large bytes).  An entry is valid only while the
+        # caller passes the *same* namespace list object (identity check):
+        # the kernel-level namespace memo in repro.core.runstate returns a
+        # stable list, so repeated executions of the same cell skip the
+        # filter/partition scans and the byte sums.  The cache key is the
+        # same source text the content-keyed AST memo
         # (repro.statesync.ast_analysis.analyze_code) is keyed on, so a hit
         # here pairs with a hit there and the whole decision batch for a
         # checkpoint round is O(1) per call.  Without the namespace memo
@@ -107,18 +100,18 @@ class StateSynchronizer:
         self._partition_cache: dict = {}
 
     def synchronize(self, code: str, namespace_objects: Sequence[NamespaceObject],
-                    executor_replica: str, node_id: Optional[str] = None):
+                    node_id: Optional[str] = None):
         """Simulation process: replicate the state touched by ``code``.
 
         ``namespace_objects`` describes the post-execution values of the
         kernel namespace; only objects whose names the AST analysis marks as
-        assigned/mutated are replicated.
+        assigned/mutated are replicated.  ``node_id`` is the executor
+        replica, which writes the large-object checkpoints.
         """
         analysis = analyze_code(code)
         cached = self._partition_cache.get(code)
         if cached is not None and cached[0] is namespace_objects:
-            (_, small, large, small_names, large_names,
-             small_bytes, large_bytes) = cached
+            _, small, large, small_bytes, large_bytes = cached
         else:
             # One pass: the touched objects split by classify_object's
             # threshold (sizes are validated non-negative at construction).
@@ -131,23 +124,16 @@ class StateSynchronizer:
                         large.append(obj)
                     else:
                         small.append(obj)
-            small_names = tuple(sorted(obj.name for obj in small))
-            large_names = tuple(sorted(obj.name for obj in large))
             small_bytes = sum(obj.size_bytes for obj in small)
             large_bytes = sum(obj.size_bytes for obj in large)
             self._partition_cache[code] = (
-                namespace_objects, small, large,
-                small_names, large_names, small_bytes, large_bytes)
+                namespace_objects, small, large, small_bytes, large_bytes)
         report = SyncReport(analysis=analysis, small_objects=small, large_objects=large)
 
-        # Step 1: AST + small state through the Raft log.
+        # Step 1: AST + small state through the Raft log (a modelled commit).
         if analysis.touches_state:
             start = self.env.now
-            command = ("sync_state", executor_replica, small_names, large_names)
-            if self.raft_cluster is not None:
-                yield self.raft_cluster.propose(command, via=None)
-            else:
-                yield self.latency_model.sample(self._rng)
+            yield self.latency_model.sample(self._rng)
             report.raft_sync_latency = self.env.now - start
             report.bytes_via_raft = small_bytes
             self.sync_latencies.append(report.raft_sync_latency)

@@ -10,8 +10,7 @@ Covers the four contracts the API redesign must hold:
    random publish sequences), the metrics collector is seated first, and an
    instrumented run is *bit-identical* to a bare one (zero timeline impact);
 4. **Regression** — a ``Simulation`` run of the smoke scenario reproduces
-   the pre-refactor engine's golden collector digest exactly, and the
-   deprecated ``run_experiment`` shim equals the façade output.
+   the pre-refactor engine's golden collector digest exactly.
 """
 
 import json
@@ -31,7 +30,7 @@ from repro.api.registry import (
 from repro.api.simulation import Simulation
 from repro.api.spec import RunSpec
 from repro.experiments.scenarios import ScenarioSpec, default_registry
-from repro.policies import SchedulingPolicy, make_policy
+from repro.policies import SchedulingPolicy
 
 
 # ----------------------------------------------------------------------
@@ -52,9 +51,6 @@ def test_registry_unknown_policy_raises():
         registry.get("nope")
     with pytest.raises(UnknownPolicyError):
         registry.create("also-nope")
-    # The deprecated shim preserves its historical ValueError contract.
-    with pytest.raises(ValueError, match="unknown policy"):
-        make_policy("nope")
 
 
 def test_registry_replace_releases_only_its_own_keys():
@@ -303,7 +299,7 @@ def test_simulation_matches_pre_refactor_golden_digest():
         digest = hashlib.sha256(
             _canonical_collector(result).encode("utf-8")).hexdigest()
         assert digest == golden["policies"][policy]["collector_sha256"], \
-            f"{policy}: repro.api drifted from the pre-refactor run_experiment"
+            f"{policy}: repro.api drifted from the pre-refactor engine"
 
 
 def test_rerunning_a_simulation_does_not_pollute_prior_results():
@@ -332,27 +328,6 @@ def test_sharing_one_bus_across_simulations_does_not_cross_record():
     sim2.run()
     assert len(first.collector.events) == first_events, \
         "a shared bus leaked the second run's events into the first result"
-
-
-def test_run_experiment_shim_keeps_value_error_contract():
-    from repro import run_experiment
-    from repro.experiments.scenarios import build_trace
-
-    trace = build_trace(RunSpec.from_scenario("smoke"))
-    with pytest.raises(ValueError, match="unknown policy"):
-        run_experiment(trace, policy="bogus")
-
-
-def test_run_experiment_shim_equals_facade():
-    from repro import run_experiment
-    from repro.experiments.scenarios import build_trace
-
-    spec = RunSpec.from_scenario("smoke", policy="reservation", seed=5)
-    trace = build_trace(spec)
-    via_shim = run_experiment(trace, policy="reservation", seed=5)
-    via_api = (Simulation.from_trace(build_trace(spec))
-               .with_policy("reservation").with_seed(5).run())
-    assert _canonical_collector(via_shim) == _canonical_collector(via_api)
 
 
 def test_simulation_policy_instance_and_kwargs():
@@ -393,6 +368,34 @@ def test_bad_poll_interval_is_rejected_before_the_run(policy, field, value):
     with pytest.raises(ValueError, match=field):
         simulation.run()
     assert simulation.platform is None
+
+
+_WAIT_BOUNDS = [
+    ("reservation", "state_persist_s"),
+    ("notebookos", "gpu_wait_timeout_s"),
+]
+
+
+@pytest.mark.parametrize("policy, field", _WAIT_BOUNDS)
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_bad_wait_bound_is_rejected_before_the_run(policy, field, value):
+    # A negative, NaN or infinite persist time would fail from deep inside
+    # the run, and such a GPU-wait timeout would never expire (NaN, inf) or
+    # act as zero (negative).
+    spec = RunSpec.from_scenario("smoke", policy=policy,
+                                 policy_kwargs={field: value})
+    simulation = Simulation.from_spec(spec)
+    with pytest.raises(ValueError, match=field):
+        simulation.run()
+    assert simulation.platform is None
+
+
+@pytest.mark.parametrize("policy, field", _WAIT_BOUNDS)
+def test_zero_wait_bound_is_accepted(policy, field):
+    spec = RunSpec.from_scenario("smoke", policy=policy,
+                                 policy_kwargs={field: 0.0})
+    result = Simulation.from_spec(spec).run()
+    assert result.collector.completed_tasks()
 
 
 def test_simulation_store_round_trip(tmp_path):
@@ -461,47 +464,3 @@ def test_simulation_builder_validation():
                            duration_hours=0.5).generate()
     with pytest.raises(ValueError, match="spec-backed"):
         Simulation.from_trace(trace).with_config(preset="cluster_scale")
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims: one DeprecationWarning per process, not per call.
-# ----------------------------------------------------------------------
-def test_make_policy_warns_exactly_once_per_process(monkeypatch):
-    import warnings
-
-    import repro.policies as policies
-
-    monkeypatch.setattr(policies, "_MAKE_POLICY_WARNED", False)
-    with warnings.catch_warnings(record=True) as caught:
-        # "always" would surface one warning per call if the shim relied on
-        # the default once-per-location dedup; the shim must dedup itself.
-        warnings.simplefilter("always")
-        for name in ("batch", "lcp", "reservation", "notebookos"):
-            policies.make_policy(name)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "make_policy" in str(deprecations[0].message)
-    assert "default_policy_registry" in str(deprecations[0].message)
-
-
-def test_run_experiment_warns_exactly_once_per_process(monkeypatch):
-    import warnings
-
-    import repro.core.platform as platform_module
-    from repro.workload import SessionTrace, TaskRecord, Trace
-
-    trace = Trace(name="tiny", sessions=[SessionTrace(
-        session_id="s0", user_id="u0", start_time=0.0, end_time=60.0,
-        gpus_requested=0,
-        tasks=[TaskRecord(session_id="s0", submit_time=1.0, duration=5.0,
-                          gpus=0, code="", task_index=0)])])
-    monkeypatch.setattr(platform_module, "_RUN_EXPERIMENT_WARNED", False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        platform_module.run_experiment(trace, policy="reservation")
-        platform_module.run_experiment(trace, policy="reservation")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "Simulation" in str(deprecations[0].message)

@@ -45,8 +45,6 @@ def test_platform_config_rejects_bad_values():
     with pytest.raises(ValueError):
         PlatformConfig(autoscaler_multiplier=0.5).validate()
     with pytest.raises(ValueError):
-        PlatformConfig(kernel_fidelity="quantum").validate()
-    with pytest.raises(ValueError):
         PlatformConfig(metrics_sample_interval_s=0).validate()
 
 
@@ -367,7 +365,8 @@ def make_kernel_with_replicas(gpus_per_host=8, request_gpus=2):
     for i in range(3):
         host = Host(host_id=f"h{i}", spec=HostSpec(num_gpus=gpus_per_host))
         container = Container(host_id=host.host_id,
-                              resources=kernel.resource_request)
+                              resources=kernel.resource_request,
+                              container_id=f"c{i}")
         container.assign("k1", f"k1-r{i}")
         replica = KernelReplica(replica_id=f"k1-r{i}", kernel_id="k1",
                                 replica_index=i, host=host, container=container)

@@ -8,6 +8,7 @@ across (a) two independent runs and (b) a JSON round-trip of the resulting
 :class:`~repro.metrics.collector.MetricsCollector`.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -21,11 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSpec, Simulation
+from repro.cluster.container import ContainerRuntime
+from repro.cluster.provisioner import VMProvisioner
+from repro.cluster.resources import ResourceRequest
 from repro.experiments import default_registry
 from repro.experiments.runner import _execute_spec
 from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult, MetricsCollector
-from repro.simulation import AllOf, AnyOf, Environment, Interrupt
+from repro.simulation import AllOf, AnyOf, Environment, Interrupt, SeededRandom
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +197,68 @@ def test_identical_replays_mint_identical_object_ids():
     assert len({object_id for _, object_id, _ in first}) == len(first)
 
 
+
+def _mint_ids() -> tuple:
+    env = Environment()
+    runtime = ContainerRuntime(env, "host-1")
+    containers = [runtime.begin_provision(ResourceRequest(gpus=1))[0]
+                  for _ in range(2)]
+    provisioner = VMProvisioner(env, rng=SeededRandom(1))
+    for _ in range(2):
+        env.process(provisioner.provision())
+    env.run()
+    return ([container.container_id for container in containers],
+            [request.request_id for request in provisioner.requests])
+
+
+def test_fresh_environments_mint_identical_container_and_request_ids():
+    first = _mint_ids()
+    second = _mint_ids()
+    assert first == second == (["container-1", "container-2"], [1, 2])
+
+
+def _process_wide_counters(path: Path) -> list:
+    """Line numbers of every ``count(...)`` bound outside a function."""
+
+    def is_count(call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id == "count"
+        return (isinstance(func, ast.Attribute) and func.attr == "count"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "itertools")
+
+    found = []
+    pending = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # per-call or per-instance state is fine
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                and isinstance(node.value, ast.Call) and is_count(node.value):
+            found.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_process_wide_id_counters():
+    # A counter bound at import time outlives the run that advanced it, so
+    # ids minted from it depend on what ran before in the process; mint
+    # from Environment.next_serial instead.
+    src = Path(__file__).resolve().parent.parent / "src"
+    offenders = [f"{path.relative_to(src)}:{line}"
+                 for path in sorted((src / "repro").rglob("*.py"))
+                 for line in _process_wide_counters(path)]
+    assert not offenders, "process-wide count(): " + ", ".join(offenders)
+
+
 _FALLBACK_STREAMS = """
 import json
 from repro.cluster.container import ContainerRuntime
 from repro.cluster.host import Host
 from repro.core.election import ExecutorElection, ReplicaProposal
 from repro.core.local_scheduler import LocalScheduler
-from repro.raft.node import RaftNode
-from repro.raft.state_machine import KeyValueStateMachine
 from repro.simulation import Environment
-from repro.simulation.network import Network
 from repro.statesync.synchronizer import StateSynchronizer
 
 election = ExecutorElection("kernel-7")   # no rng: the fallback seed
@@ -219,8 +275,6 @@ draws = [
     StateSynchronizer(env, "kernel-7", checkpoint_manager=None)._rng.random(),
     LocalScheduler(env, Host(host_id="host-3"))._rng.random(),
     ContainerRuntime(env, "host-3")._rng.random(),
-    RaftNode(env, Network(env), "node-1", ["node-1", "node-2"],
-             KeyValueStateMachine())._rng.random(),
 ]
 print(json.dumps({"decisions": decisions, "draws": draws}))
 """

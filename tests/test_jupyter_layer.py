@@ -1,96 +1,14 @@
-"""Unit tests for the Jupyter messaging layer, sessions, and server routing."""
+"""Unit tests for notebook sessions."""
 
 import pytest
 
 from repro.jupyter import (
-    ExecuteReply,
-    ExecuteRequest,
-    JupyterMessage,
-    JupyterServer,
-    MessageType,
+    CellExecution,
     NotebookCell,
-    NotebookClient,
     NotebookSession,
     SessionState,
-    YieldRequest,
 )
-from repro.jupyter.messages import merge_replies
-from repro.jupyter.provisioner import GatewayProvisioner
-from repro.jupyter.session import CellExecution
-from repro.cluster import ResourceRequest
-from repro.simulation import Environment, Network
 
-
-# ----------------------------------------------------------------------
-# Messages.
-# ----------------------------------------------------------------------
-
-def test_execute_request_carries_code_and_gpus():
-    request = ExecuteRequest(kernel_id="k1", session_id="s1",
-                             code="model.fit(x)", gpus_required=2)
-    assert request.msg_type == MessageType.EXECUTE_REQUEST
-    assert request.code == "model.fit(x)"
-    assert request.gpus_required == 2
-    assert request.msg_id
-
-
-def test_message_ids_are_unique():
-    first = ExecuteRequest(kernel_id="k", session_id="s", code="x = 1")
-    second = ExecuteRequest(kernel_id="k", session_id="s", code="x = 1")
-    assert first.msg_id != second.msg_id
-
-
-def test_yield_request_preserves_content_and_designates_replica():
-    original = ExecuteRequest(kernel_id="k1", session_id="s1", code="train()",
-                              gpus_required=4)
-    converted = YieldRequest(original, designated_replica="k1-replica-2")
-    assert converted.msg_type == MessageType.YIELD_REQUEST
-    assert converted.content["code"] == "train()"
-    assert converted.designated_replica == "k1-replica-2"
-    assert converted.parent_msg_id == original.msg_id
-
-
-def test_execute_reply_links_to_request():
-    request = ExecuteRequest(kernel_id="k1", session_id="s1", code="pass")
-    reply = ExecuteReply(request, status="ok", execution_time=12.5,
-                         executor_replica="k1-replica-1")
-    assert reply.parent_msg_id == request.msg_id
-    assert not reply.is_error
-    error_reply = ExecuteReply(request, status="error", error="boom")
-    assert error_reply.is_error
-
-
-def test_generic_reply_helper():
-    message = JupyterMessage(msg_type=MessageType.KERNEL_INFO_REQUEST,
-                             kernel_id="k", session_id="s")
-    reply = message.reply(MessageType.KERNEL_INFO_REPLY, {"status": "ok"})
-    assert reply.parent_msg_id == message.msg_id
-    assert reply.kernel_id == "k"
-
-
-def test_merge_replies_prefers_executor_reply():
-    request = ExecuteRequest(kernel_id="k1", session_id="s1", code="pass")
-    standby_a = ExecuteReply(request, status="ok", execution_time=0.0)
-    executor = ExecuteReply(request, status="ok", execution_time=30.0,
-                            executor_replica="k1-replica-2")
-    standby_b = ExecuteReply(request, status="ok", execution_time=0.0)
-    merged = merge_replies([standby_a, executor, standby_b])
-    assert merged is executor
-
-
-def test_merge_replies_surfaces_error_only_if_all_error():
-    request = ExecuteRequest(kernel_id="k1", session_id="s1", code="pass")
-    err = ExecuteReply(request, status="error", error="x")
-    ok = ExecuteReply(request, status="ok", execution_time=1.0,
-                      executor_replica="r")
-    assert merge_replies([err, ok]) is ok
-    assert merge_replies([err]) is err
-    assert merge_replies([]) is None
-
-
-# ----------------------------------------------------------------------
-# Sessions.
-# ----------------------------------------------------------------------
 
 def make_session():
     return NotebookSession(session_id="s1", user_id="u1", kernel_id="k1",
@@ -143,100 +61,3 @@ def test_session_last_activity_time():
     execution.mark_completed(60.0)
     session.record_execution(execution)
     assert session.last_activity_time(now=500.0) == pytest.approx(60.0)
-
-
-# ----------------------------------------------------------------------
-# Server, client, and provisioner routing.
-# ----------------------------------------------------------------------
-
-def _scheduler_stub(env, network, address="global-scheduler", delay=0.01,
-                    status="ok"):
-    """A minimal Global Scheduler that answers every forwarded request."""
-    inbox = network.register(address)
-
-    def loop():
-        while True:
-            message = yield inbox.get()
-            payload = message.payload
-            request = payload["request"]
-            yield env.timeout(delay)
-            if isinstance(request, JupyterMessage):
-                reply = ExecuteReply(request, status=status, execution_time=delay,
-                                     executor_replica="replica-0",
-                                     created_at=env.now)
-            else:
-                reply = {"replica-0": "host-1"}
-            payload["reply_to"].succeed(reply)
-
-    env.process(loop(), name="scheduler-stub")
-    return address
-
-
-def test_server_forwards_and_returns_reply():
-    env = Environment()
-    network = Network(env)
-    _scheduler_stub(env, network)
-    server = JupyterServer(env, network)
-    session = make_session()
-    server.register_session(session)
-    client = NotebookClient(env, server, session)
-    cell = NotebookCell(code="loss = model(x)", gpus_required=1,
-                        expected_duration=5.0)
-
-    process = env.process(client.submit_cell(cell))
-    execution = env.run(until=process)
-    assert execution.status == "ok"
-    assert execution.task_completion_time > 0
-    assert server.messages_forwarded == 1
-    assert server.replies_returned == 1
-    assert client.error_count == 0
-
-
-def test_client_records_error_replies():
-    env = Environment()
-    network = Network(env)
-    _scheduler_stub(env, network, status="error")
-    server = JupyterServer(env, network)
-    session = make_session()
-    server.register_session(session)
-    client = NotebookClient(env, server, session)
-
-    process = env.process(client.submit_cell(NotebookCell(code="boom()")))
-    execution = env.run(until=process)
-    assert execution.status == "error"
-    assert client.error_count == 1
-
-
-def test_server_session_registry():
-    env = Environment()
-    network = Network(env)
-    server = JupyterServer(env, network)
-    session = make_session()
-    server.register_session(session)
-    session.activate(0.0)
-    assert server.active_session_count == 1
-    assert server.session_for_kernel("k1") is session
-    assert server.session_for_kernel("missing") is None
-    server.remove_session("s1")
-    assert server.active_session_count == 0
-
-
-def test_gateway_provisioner_start_and_shutdown():
-    env = Environment()
-    network = Network(env)
-    _scheduler_stub(env, network)
-    provisioner = GatewayProvisioner(env, network)
-
-    def run():
-        info = yield env.process(provisioner.start_kernel(
-            "k1", "s1", ResourceRequest(gpus=2)))
-        assert provisioner.connection_info("k1") is info
-        yield env.process(provisioner.shutdown_kernel("k1"))
-        return info
-
-    process = env.process(run())
-    info = env.run(until=process)
-    assert info.kernel_id == "k1"
-    assert info.replica_addresses == {"replica-0": "host-1"}
-    assert provisioner.connection_info("k1") is None
-    assert provisioner.start_requests == 1

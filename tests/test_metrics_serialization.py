@@ -7,7 +7,7 @@ reproduces every metric bit-for-bit (floats survive JSON exactly in Python).
 
 import json
 
-from repro import run_experiment
+from repro.api import Simulation
 from repro.analysis.timeline import Timeline
 from repro.metrics.collector import (
     EventKind,
@@ -83,7 +83,8 @@ def test_collector_roundtrip_handbuilt():
 def test_experiment_result_roundtrip_from_real_run():
     trace = AdobeTraceGenerator(seed=3, num_sessions=8,
                                 duration_hours=1.5).generate()
-    result = run_experiment(trace, policy="notebookos", seed=3)
+    result = (Simulation.from_trace(trace).with_policy("notebookos")
+              .with_seed(3).run())
     restored = ExperimentResult.from_dict(json_roundtrip(result.to_dict()))
 
     assert restored.summary() == result.summary()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import run_experiment
+from repro.api import Simulation
+from repro.api.registry import UnknownPolicyError, default_policy_registry
 from repro.core import ClusterConfig, NotebookOSPlatform, PlatformConfig
 from repro.core.config import PlatformConfig as _PlatformConfig
 from repro.metrics.collector import EventKind
@@ -11,7 +12,6 @@ from repro.policies import (
     LargeContainerPoolPolicy,
     NotebookOSPolicy,
     ReservationPolicy,
-    make_policy,
 )
 from repro.workload import AdobeTraceGenerator, SessionTrace, TaskRecord, Trace
 
@@ -41,12 +41,13 @@ def dense_trace(gpus=4, num_sessions=6, tasks_per_session=3):
 # ----------------------------------------------------------------------
 
 def test_make_policy_registry():
-    assert isinstance(make_policy("notebookos"), NotebookOSPolicy)
-    assert isinstance(make_policy("reservation"), ReservationPolicy)
-    assert isinstance(make_policy("batch"), BatchPolicy)
-    assert isinstance(make_policy("lcp"), LargeContainerPoolPolicy)
-    with pytest.raises(ValueError):
-        make_policy("slurm")
+    registry = default_policy_registry()
+    assert isinstance(registry.create("notebookos"), NotebookOSPolicy)
+    assert isinstance(registry.create("reservation"), ReservationPolicy)
+    assert isinstance(registry.create("batch"), BatchPolicy)
+    assert isinstance(registry.create("lcp"), LargeContainerPoolPolicy)
+    with pytest.raises(UnknownPolicyError):
+        registry.create("slurm")
 
 
 # ----------------------------------------------------------------------
@@ -56,7 +57,8 @@ def test_make_policy_registry():
 @pytest.mark.parametrize("policy", ["notebookos", "reservation", "batch", "lcp"])
 def test_all_policies_complete_every_task(policy):
     trace = small_trace()
-    result = run_experiment(trace, policy=policy, seed=3)
+    result = (Simulation.from_trace(trace).with_policy(policy)
+              .with_seed(3).run())
     completed = result.collector.completed_tasks()
     assert len(completed) == trace.total_task_count
     assert all(t.status == "ok" for t in completed)
@@ -112,7 +114,8 @@ def test_notebookos_dynamic_binding_releases_gpus_after_tasks():
 
 def test_notebookos_records_sync_and_datastore_latencies():
     trace = small_trace(sessions=6)
-    result = run_experiment(trace, policy="notebookos", seed=2)
+    result = (Simulation.from_trace(trace).with_policy("notebookos")
+              .with_seed(2).run())
     assert result.collector.raft_sync_latencies
     assert result.collector.datastore_write_latencies
 
@@ -121,9 +124,10 @@ def test_notebookos_contention_triggers_migrations_or_waits():
     """With tiny hosts and concurrent 4-GPU tasks, elections must sometimes fail."""
     trace = dense_trace(gpus=8, num_sessions=5)
     config = PlatformConfig(scaling_buffer_hosts=0)
-    result = run_experiment(trace, policy="notebookos",
-                            cluster_config=ClusterConfig(initial_hosts=3, max_hosts=8),
-                            platform_config=config)
+    result = (Simulation.from_trace(trace).with_policy("notebookos")
+              .with_config(platform_config=config,
+                           cluster_config=ClusterConfig(initial_hosts=3, max_hosts=8))
+              .run())
     completed = result.collector.completed_tasks()
     assert len(completed) == trace.total_task_count
     migrations = result.migration_count()
@@ -133,7 +137,8 @@ def test_notebookos_contention_triggers_migrations_or_waits():
 
 def test_reservation_provisioned_gpus_track_reserved_sessions():
     trace = small_trace(sessions=6)
-    result = run_experiment(trace, policy="reservation", seed=5)
+    result = (Simulation.from_trace(trace).with_policy("reservation")
+              .with_seed(5).run())
     peak_reserved = sum(s.gpus_requested for s in trace)
     assert result.collector.provisioned_gpus.maximum() <= peak_reserved
     assert result.collector.provisioned_gpus.maximum() > 0
@@ -141,8 +146,10 @@ def test_reservation_provisioned_gpus_track_reserved_sessions():
 
 def test_batch_interactivity_much_worse_than_notebookos():
     trace = small_trace(sessions=8)
-    batch = run_experiment(trace, policy="batch", seed=1)
-    notebookos = run_experiment(trace, policy="notebookos", seed=1)
+    batch = (Simulation.from_trace(trace).with_policy("batch")
+             .with_seed(1).run())
+    notebookos = (Simulation.from_trace(trace).with_policy("notebookos")
+                  .with_seed(1).run())
     assert batch.interactivity_cdf.percentile(0.5) > \
         notebookos.interactivity_cdf.percentile(0.5) * 10
     # Batch only provisions GPUs while jobs run.
@@ -151,9 +158,11 @@ def test_batch_interactivity_much_worse_than_notebookos():
 
 def test_lcp_between_notebookos_and_batch_in_interactivity():
     trace = small_trace(sessions=8)
-    lcp = run_experiment(trace, policy="lcp", seed=1)
-    notebookos = run_experiment(trace, policy="notebookos", seed=1)
-    batch = run_experiment(trace, policy="batch", seed=1)
+    lcp = Simulation.from_trace(trace).with_policy("lcp").with_seed(1).run()
+    notebookos = (Simulation.from_trace(trace).with_policy("notebookos")
+                  .with_seed(1).run())
+    batch = (Simulation.from_trace(trace).with_policy("batch")
+             .with_seed(1).run())
     assert notebookos.interactivity_cdf.percentile(0.5) < \
         lcp.interactivity_cdf.percentile(0.5) < \
         batch.interactivity_cdf.percentile(0.5)
@@ -162,8 +171,10 @@ def test_lcp_between_notebookos_and_batch_in_interactivity():
 def test_notebookos_saves_gpu_hours_vs_reservation_at_scale():
     trace = AdobeTraceGenerator(seed=11, num_sessions=40,
                                 duration_hours=6.0).generate()
-    notebookos = run_experiment(trace, policy="notebookos", seed=4)
-    reservation = run_experiment(trace, policy="reservation", seed=4)
+    notebookos = (Simulation.from_trace(trace).with_policy("notebookos")
+                  .with_seed(4).run())
+    reservation = (Simulation.from_trace(trace).with_policy("reservation")
+                   .with_seed(4).run())
     saved = notebookos.gpu_hours_saved_vs(reservation)
     assert saved > 0
     # Interactivity stays in the same regime as Reservation (§5.3.2).
@@ -188,7 +199,7 @@ def test_autoscaler_scales_out_under_load_and_in_when_idle():
 
 def test_experiment_result_wall_clock_and_breakdown():
     trace = small_trace(sessions=4)
-    result = run_experiment(trace, policy="notebookos")
+    result = Simulation.from_trace(trace).with_policy("notebookos").run()
     assert result.wall_clock_runtime > 0
     assert len(result.breakdown) == trace.total_task_count
     table = result.breakdown.table()
@@ -198,7 +209,7 @@ def test_experiment_result_wall_clock_and_breakdown():
 
 def test_reservation_breakdown_has_no_election_step():
     trace = small_trace(sessions=4)
-    result = run_experiment(trace, policy="reservation")
+    result = Simulation.from_trace(trace).with_policy("reservation").run()
     table = result.breakdown.table()
     assert table["primary_replica_protocol"] == {"count": 0}
     assert table["execute_code"]["count"] == trace.total_task_count
@@ -206,8 +217,10 @@ def test_reservation_breakdown_has_no_election_step():
 
 def test_deterministic_runs_with_same_seed():
     trace = small_trace(sessions=5)
-    first = run_experiment(trace, policy="notebookos", seed=9)
-    second = run_experiment(trace, policy="notebookos", seed=9)
+    first = (Simulation.from_trace(trace).with_policy("notebookos")
+             .with_seed(9).run())
+    second = (Simulation.from_trace(trace).with_policy("notebookos")
+              .with_seed(9).run())
     assert first.provisioned_gpu_hours == pytest.approx(second.provisioned_gpu_hours)
     assert first.interactivity_cdf.summary() == second.interactivity_cdf.summary()
 

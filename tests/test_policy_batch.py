@@ -181,7 +181,8 @@ def make_kernel(hosts, replica_states) -> DistributedKernel:
         election=ExecutorElection("k-diff"))
     for index, (host, state) in enumerate(zip(hosts, replica_states)):
         container = Container(host_id=host.host_id,
-                              resources=ResourceRequest(gpus=2))
+                              resources=ResourceRequest(gpus=2),
+                              container_id=f"c-diff-{index}")
         replica = KernelReplica(replica_id=f"k-diff-{index}",
                                 kernel_id="k-diff", replica_index=index,
                                 host=host, container=container)

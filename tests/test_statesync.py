@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import DistributedDataStore
-from repro.raft import KeyValueStateMachine, RaftCluster
-from repro.simulation import Environment, Network, SeededRandom
+from repro.simulation import Environment, SeededRandom
 from repro.statesync import (
     CheckpointManager,
     LARGE_OBJECT_THRESHOLD_BYTES,
@@ -247,18 +246,11 @@ def test_checkpoint_versioning_on_overwrite():
 # State synchronizer.
 # ----------------------------------------------------------------------
 
-def make_synchronizer(raft=False, seed=3):
+def make_synchronizer(seed=3):
     env = Environment()
-    network = Network(env)
     store = DistributedDataStore(env, backend="s3", rng=SeededRandom(seed))
     manager = CheckpointManager(env=env, datastore=store, kernel_id="kernel-1")
-    cluster = None
-    if raft:
-        cluster = RaftCluster(env, network, [f"kernel-1-r{i}" for i in range(3)],
-                              state_machine_factory=lambda _id: KeyValueStateMachine(),
-                              rng=SeededRandom(seed))
-        cluster.start()
-    synchronizer = StateSynchronizer(env, "kernel-1", manager, raft_cluster=cluster,
+    synchronizer = StateSynchronizer(env, "kernel-1", manager,
                                      rng=SeededRandom(seed))
     return env, synchronizer, manager
 
@@ -278,7 +270,7 @@ def test_synchronize_splits_small_and_large_state():
 
     def run():
         report = yield env.process(synchronizer.synchronize(
-            code, NAMESPACE, executor_replica="replica-1", node_id="replica-1"))
+            code, NAMESPACE, node_id="replica-1"))
         return report
 
     report = env.run(until=env.process(run()))
@@ -295,18 +287,18 @@ def test_sync_plan_cache_hit_matches_cold_walk():
     """A warm sync-plan replay is identical to the cold partition walk.
 
     The plan cache keys on (code, namespace list identity); a hit must
-    reproduce the same object partition, the same sorted-name Raft command,
-    and the same byte totals the cold path computed — the bit-identity
-    contract the golden digests pin end to end.
+    reproduce the same object partition and the same byte totals the cold
+    path computed — the bit-identity contract the golden digests pin end to
+    end.
     """
     env, synchronizer, manager = make_synchronizer()
     code = "model = train(model, dataset)\nlr = 0.01\nhistory.append(lr)"
 
     def run():
         cold = yield env.process(synchronizer.synchronize(
-            code, NAMESPACE, executor_replica="replica-1", node_id="replica-1"))
+            code, NAMESPACE, node_id="replica-1"))
         warm = yield env.process(synchronizer.synchronize(
-            code, NAMESPACE, executor_replica="replica-1", node_id="replica-1"))
+            code, NAMESPACE, node_id="replica-1"))
         return cold, warm
 
     cold, warm = env.run(until=env.process(run()))
@@ -323,7 +315,7 @@ def test_sync_plan_cache_hit_matches_cold_walk():
 
     def rerun():
         report = yield env.process(synchronizer.synchronize(
-            code, reordered, executor_replica="replica-1", node_id="replica-1"))
+            code, reordered, node_id="replica-1"))
         return report
 
     fresh = env.run(until=env.process(rerun()))
@@ -333,61 +325,18 @@ def test_sync_plan_cache_hit_matches_cold_walk():
     assert fresh.bytes_via_raft == cold.bytes_via_raft
 
 
-def test_sync_plan_cache_command_is_bit_identical_over_raft():
-    """Warm-plan Raft commands equal the cold command tuple exactly."""
-    env, synchronizer, _manager = make_synchronizer(raft=True)
-    env.run(until=2.0)  # allow leader election
-
-    def run():
-        yield env.process(synchronizer.synchronize(
-            "lr = 0.1\nhistory.append(lr)", NAMESPACE,
-            executor_replica="replica-1"))
-        yield env.process(synchronizer.synchronize(
-            "lr = 0.1\nhistory.append(lr)", NAMESPACE,
-            executor_replica="replica-1"))
-
-    env.run(until=env.process(run()))
-    env.run(until=env.now + 1.0)
-    leader = synchronizer.raft_cluster.member_ids[0]
-    commands = [c for c in synchronizer.raft_cluster.committed_commands(leader)
-                if isinstance(c, tuple) and c and c[0] == "sync_state"]
-    assert len(commands) == 2
-    assert commands[0] == commands[1]
-    assert commands[0] == ("sync_state", "replica-1",
-                           ("history", "lr"), ())
-
-
 def test_synchronize_pure_read_cell_is_noop():
     env, synchronizer, manager = make_synchronizer()
 
     def run():
         report = yield env.process(synchronizer.synchronize(
-            "print(history)", NAMESPACE, executor_replica="replica-1"))
+            "print(history)", NAMESPACE))
         return report
 
     report = env.run(until=env.process(run()))
     assert report.raft_sync_latency == 0.0
     assert report.bytes_via_datastore == 0
     assert manager.checkpoints_written == 0
-
-
-def test_synchronize_with_real_raft_cluster():
-    env, synchronizer, _manager = make_synchronizer(raft=True)
-    env.run(until=2.0)  # allow leader election
-
-    def run():
-        report = yield env.process(synchronizer.synchronize(
-            "lr = 0.1", NAMESPACE, executor_replica="replica-1"))
-        return report
-
-    report = env.run(until=env.process(run()))
-    assert report.raft_sync_latency > 0
-    # The committed sync command becomes visible on every replica's state machine.
-    env.run(until=env.now + 1.0)
-    for node_id in synchronizer.raft_cluster.member_ids:
-        commands = synchronizer.raft_cluster.committed_commands(node_id)
-        assert any(isinstance(c, tuple) and c and c[0] == "sync_state"
-                   for c in commands)
 
 
 def test_sync_latency_model_magnitudes_match_figure11():
