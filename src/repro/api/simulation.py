@@ -97,7 +97,6 @@ class Simulation:
         self._telemetry = None
         self._sketch_mode = False
         self._sketch_compression = 300
-        self._policy_batching: Optional[bool] = None
         self._qos: Optional[Dict[str, object]] = None
         self._store = None
         #: The wired platform of the most recent ``run()`` / ``build()`` —
@@ -273,21 +272,6 @@ class Simulation:
         self._sketch_compression = int(compression)
         return self
 
-    def with_policy_batching(self, enabled: bool = True) -> "Simulation":
-        """Toggle the batched/cached policy-decision path (default on).
-
-        Disabling routes every policy decision through the frozen per-task
-        reference implementation (see :mod:`repro.core.runstate`).  Results
-        are bit-identical either way — the differential tests pin it — so
-        this exists for A/B benchmarking and verification, not for
-        behavioral control.  Applied as a config override on a copy of the
-        resolved platform config, like sketch mode; because the flag is not
-        part of the spec hash, an explicit override makes the run ad hoc
-        (not store-served).
-        """
-        self._policy_batching = bool(enabled)
-        return self
-
     def with_qos(self, *targets, window_s: float = 300.0) -> "Simulation":
         """Enable the closed-loop QoS control plane for this run.
 
@@ -349,8 +333,7 @@ class Simulation:
         return (self._spec is not None and self._policy_obj is None
                 and self._platform_config is None
                 and self._cluster_config is None
-                and not self._sketch_mode
-                and self._policy_batching is None)
+                and not self._sketch_mode)
 
     # ------------------------------------------------------------------
     # Execution.
@@ -404,9 +387,6 @@ class Simulation:
             platform_config = copy.copy(platform_config)
             platform_config.metrics_sketch_mode = True
             platform_config.metrics_sketch_compression = self._sketch_compression
-        if self._policy_batching is not None:
-            platform_config = copy.copy(platform_config)
-            platform_config.policy_batching_enabled = self._policy_batching
         qos_block = self._qos if self._qos is not None else \
             (self._spec.qos if self._spec is not None and self._spec.qos
              else None)

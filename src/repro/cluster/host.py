@@ -62,12 +62,6 @@ class Host:
         self._committed_total = 0
         self._allocated_gpus = 0
         self.containers: Dict[str, object] = {}
-        # Monotonic change counter bumped by every mutator that can affect a
-        # placement/election read of this host (subscribe, unsubscribe,
-        # bind_gpus, release_gpus, decommission).  May over-approximate
-        # change — a zero-GPU release still bumps — never under-approximate;
-        # decision-cache guards (repro.core.runstate) snapshot it.
-        self.version = 0
         # The ClusterState this host reports aggregate deltas to (set via
         # attach_cluster); lets the metrics sampler read cluster totals in
         # O(1) instead of re-scanning every host each interval, and keeps the
@@ -88,7 +82,6 @@ class Host:
 
     def decommission(self, now: float) -> None:
         if self.decommissioned_at is None:
-            self.version += 1
             if self._cluster is not None:
                 # Must fire while still marked active, before the timestamp
                 # flips is_active, so the cluster subtracts exactly what this
@@ -108,7 +101,6 @@ class Host:
         """Record that a replica of ``kernel_id`` subscribes ``gpus`` GPUs."""
         self._subscriptions[kernel_id] = self._subscriptions.get(kernel_id, 0) + gpus
         self._subscribed_total += gpus
-        self.version += 1
         if self._cluster is not None and self.decommissioned_at is None:
             self._cluster._subscribed_delta(gpus, self)
 
@@ -116,7 +108,6 @@ class Host:
         """Remove the subscription of ``kernel_id`` (replica removed)."""
         removed = self._subscriptions.pop(kernel_id, 0)
         self._subscribed_total -= removed
-        self.version += 1
         if removed and self._cluster is not None and self.decommissioned_at is None:
             self._cluster._subscribed_delta(-removed, self)
 
@@ -156,7 +147,6 @@ class Host:
         """Exclusively bind ``count`` GPUs to ``kernel_id`` for a cell task."""
         device_ids = self.gpus.allocate(kernel_id, count, now)
         self._allocated_gpus += len(device_ids)
-        self.version += 1
         previous = self._active_trainings.get(kernel_id, 0)
         self._active_trainings[kernel_id] = count
         self._committed_total += count - previous
@@ -168,7 +158,6 @@ class Host:
         """Release all GPUs bound to ``kernel_id``."""
         released = self.gpus.release(kernel_id, now)
         self._allocated_gpus -= released
-        self.version += 1
         entry = self._active_trainings.pop(kernel_id, None)
         removed = entry or 0
         self._committed_total -= removed

@@ -61,13 +61,12 @@ class HostIndex:
                  "_hosts_by_id", "version")
 
     def __init__(self) -> None:
-        #: Monotonic change counter.  Every mutation entry point (``add``,
-        #: ``discard``, ``reindex``) bumps it unconditionally — the counter
-        #: may over-approximate change (a reindex that lands on the same
-        #: rank key still bumps), never under-approximate it, which is the
-        #: contract the :class:`repro.core.runstate.DecisionCache` guards
-        #: rely on.  Placement-relevant cluster mutations all funnel through
-        #: these three methods via the ``Host -> ClusterState`` delta hooks.
+        #: Count of index mutations.  Every mutation entry point (``add``,
+        #: ``discard``, ``reindex``) bumps it unconditionally, so a reindex
+        #: that lands on the same rank key still counts.  Placement-relevant
+        #: cluster mutations all funnel through these three methods via the
+        #: ``Host -> ClusterState`` delta hooks; benchmarks read the total
+        #: as a measure of index churn.
         self.version = 0
         # Parallel lists sorted by rank key; _entry_keys remembers the key a
         # host is currently filed under so a stale entry can be located after
@@ -143,10 +142,10 @@ class HostIndex:
 
         A *zero-delta* reindex — same rank key, same idle flag — is O(1):
         one key compare plus a set-membership check, no bisect, no list
-        touched (the version still bumps; see the contract above).  A key
-        move bisects to relocate and splices with ``del`` + ``insert``
-        (C-level memmoves); the idle flip check is served by the membership
-        set, bisecting the serial list only when the flag actually flipped.
+        touched (the version still bumps).  A key move bisects to relocate
+        and splices with ``del`` + ``insert`` (C-level memmoves); the idle
+        flip check is served by the membership set, bisecting the serial
+        list only when the flag actually flipped.
         Both paths file the host exactly where a from-scratch
         ``sorted(..., key=rank_key)`` would (the hypothesis differentials in
         tests/test_placement_index.py pin this against a scan rebuild).

@@ -46,10 +46,6 @@ class ContainerPrewarmer:
         self._pools: Dict[str, List[Container]] = {}
         self.hits = 0
         self.misses = 0
-        # Monotonic change counter bumped on every pool mutation (host
-        # registration, take, put_back, a warm container landing) so cached
-        # warm-pool lookups (LCP's _find_host) can guard on it.
-        self.version = 0
         self._maintenance_process = None
 
     # ------------------------------------------------------------------
@@ -59,7 +55,6 @@ class ContainerPrewarmer:
         """Track ``host_id`` and pre-warm its initial pool."""
         self._runtimes[host_id] = runtime
         self._pools.setdefault(host_id, [])
-        self.version += 1
         for _ in range(self.policy.initial_per_host):
             self.env.process(self._warm_one(host_id),
                              name=f"prewarm:{host_id}")
@@ -67,7 +62,6 @@ class ContainerPrewarmer:
     def unregister_host(self, host_id: str) -> None:
         self._runtimes.pop(host_id, None)
         self._pools.pop(host_id, None)
-        self.version += 1
 
     def start_maintenance(self) -> None:
         """Start the periodic pool replenishment loop."""
@@ -90,7 +84,6 @@ class ContainerPrewarmer:
         pool = self._pools.get(host_id)
         if pool:
             self.hits += 1
-            self.version += 1
             return pool.pop(0)
         self.misses += 1
         return None
@@ -102,7 +95,6 @@ class ContainerPrewarmer:
         pool = self._pools.setdefault(host_id, [])
         if len(pool) < self.policy.max_per_host:
             pool.append(container)
-            self.version += 1
         else:
             runtime = self._runtimes.get(host_id)
             if runtime is not None:
@@ -124,7 +116,6 @@ class ContainerPrewarmer:
             return None
         if len(pool) < self.policy.max_per_host:
             pool.append(container)
-            self.version += 1
         return container
 
     def _maintenance_loop(self):

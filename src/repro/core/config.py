@@ -8,12 +8,40 @@ the Adobe research cluster's p3.16xlarge instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.container import ContainerLatencyModel
 from repro.cluster.host import HostSpec
 from repro.cluster.prewarmer import PrewarmPolicy
+
+
+def require_positive(field: str, value: float) -> float:
+    """``value`` if it is finite and positive, else ``ValueError``.
+
+    For intervals a loop sleeps between rounds: zero would loop forever at
+    one instant, and a negative, NaN or infinite value would fail from
+    inside the engine.  Also for scales that must be positive, such as a
+    log-normal's mean.
+    """
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{field} must be positive and finite, got {value}")
+    return value
+
+
+def require_non_negative(field: str, value: float) -> float:
+    """``value`` if it is finite and non-negative, else ``ValueError``.
+
+    For latencies, wait lengths and timeouts: zero is fine (no sleep, or a
+    timeout that expires at the first check).  A negative, NaN or infinite
+    value would fail from inside the engine, never expire, or silently act
+    as zero.
+    """
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(
+            f"{field} must be non-negative and finite, got {value}")
+    return value
 
 
 @dataclass
@@ -33,6 +61,7 @@ class ClusterConfig:
             raise ValueError(
                 f"require min_hosts <= initial_hosts <= max_hosts, got "
                 f"{self.min_hosts} / {self.initial_hosts} / {self.max_hosts}")
+        require_positive("vm_boot_time_mean_s", self.vm_boot_time_mean_s)
 
 
 @dataclass
@@ -44,14 +73,6 @@ class PlatformConfig:
     subscription_ratio_limit: Optional[float] = None  # None = dynamic cluster-wide limit
     subscription_high_watermark: float = 3.0
     oversubscription_enabled: bool = True
-    # Columnar run state + batched policy decisions (repro.core.runstate):
-    # same-timestamp admissions are batched into one decide_batch call per
-    # policy per timestamp, and pure policy decisions are served from a
-    # version-guarded cache.  Results are bit-identical either way (the
-    # cache computes misses through the frozen per-task path); disabling
-    # forces the frozen reference path end to end — differential tests and
-    # the bench_policy A/B use this.
-    policy_batching_enabled: bool = True
 
     # Auto-scaling (§3.4.2).
     autoscaler_enabled: bool = True
@@ -118,15 +139,22 @@ class PlatformConfig:
         if self.replication_factor == 2:
             # §3.1: a replication factor of 2 is unsupported by Raft.
             raise ValueError("a replication factor of 2 is unsupported by Raft")
-        if self.autoscaler_multiplier < 1.0:
-            raise ValueError("autoscaler_multiplier must be >= 1.0")
-        if self.metrics_sample_interval_s <= 0:
-            raise ValueError("metrics_sample_interval_s must be positive")
+        if not (math.isfinite(self.autoscaler_multiplier)
+                and self.autoscaler_multiplier >= 1.0):
+            raise ValueError(f"autoscaler_multiplier must be finite and "
+                             f">= 1.0, got {self.autoscaler_multiplier}")
+        require_positive("autoscaler_interval_s", self.autoscaler_interval_s)
+        require_positive("metrics_sample_interval_s",
+                         self.metrics_sample_interval_s)
+        if self.host_failure_interval_s is not None:
+            require_positive("host_failure_interval_s",
+                             self.host_failure_interval_s)
+        for name in ("jupyter_processing_s", "gs_processing_s",
+                     "ls_processing_s", "network_hop_s", "kernel_preprocess_s",
+                     "migration_retry_interval_s"):
+            require_non_negative(name, getattr(self, name))
         if self.metrics_sketch_compression < 20:
             raise ValueError("metrics_sketch_compression must be >= 20")
-        if self.host_failure_interval_s is not None \
-                and self.host_failure_interval_s <= 0:
-            raise ValueError("host_failure_interval_s must be positive")
         if self.min_surviving_hosts < 1:
             raise ValueError("min_surviving_hosts must be at least 1")
         self.qos = self.normalized_qos()

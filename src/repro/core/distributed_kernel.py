@@ -89,23 +89,19 @@ class DistributedKernel:
     terminated_at: Optional[float] = None
     migrations: int = 0
     executions_completed: int = 0
-    #: Monotonic change counter for the replica set: bumped when a replica
-    #: is added or removed.  Decision-cache guards for make_proposals /
-    #: preferred_executor snapshot it together with each replica's
-    #: ``state`` and its host's ``version`` counter.
-    decision_version: int = 0
+    #: The list :meth:`namespace_objects` built on its first call.
+    _namespace: Optional[List[NamespaceObject]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Replica management.
     # ------------------------------------------------------------------
     def add_replica(self, replica: KernelReplica) -> None:
         self.replicas.append(replica)
-        self.decision_version += 1
 
     def remove_replica(self, replica_id: str) -> Optional[KernelReplica]:
         for index, replica in enumerate(self.replicas):
             if replica.replica_id == replica_id:
-                self.decision_version += 1
                 return self.replicas.pop(index)
         return None
 
@@ -149,8 +145,13 @@ class DistributedKernel:
 
         The model parameters and dataset of the session's workload assignment
         are the large objects; the training hyper-parameters and loss history
-        are the small ones.
+        are the small ones.  The model is fixed at construction, so the list
+        is built once and every later call returns that same list object,
+        which lets the state synchronizer reuse its partition of the
+        namespace by identity.
         """
+        if self._namespace is not None:
+            return self._namespace
         objects = [
             NamespaceObject(name="learning_rate", size_bytes=32, kind="scalar"),
             NamespaceObject(name="batch_size", size_bytes=32, kind="scalar"),
@@ -171,4 +172,5 @@ class DistributedKernel:
         else:
             objects.append(NamespaceObject(name="model", size_bytes=200 * 1024 ** 2,
                                            kind="model", resides_on_gpu=True))
+        self._namespace = objects
         return objects

@@ -58,11 +58,10 @@ class ElectionOutcome:
     def signature(self) -> tuple:
         """A compact, hashable record of everything this outcome decided.
 
-        Differential tests compare signatures between the batched-columnar
-        path and the frozen per-task reference — equal signatures mean the
-        same winner, the same sampled Raft latency (i.e. the same RNG
-        stream position), the same yield conversions, and the same
-        proposals in the same order.
+        Determinism tests compare the signatures of two replays — equal
+        signatures mean the same winner, the same sampled Raft latency
+        (i.e. the same RNG stream position), the same yield conversions,
+        and the same proposals in the same order.
         """
         return (self.election_id,
                 self.winner.replica_id if self.winner is not None else None,

@@ -36,7 +36,6 @@ from repro.core.local_scheduler import (
     uniform_processing_delay,
 )
 from repro.core.placement import LeastLoadedPlacement, PlacementPolicy
-from repro.core.runstate import compute_preferred_executor
 from repro.metrics.collector import EventKind, MetricsCollector
 from repro.simulation.distributions import SeededRandom
 from repro.simulation.engine import Environment
@@ -79,7 +78,7 @@ class ClusterState:
 
     @property
     def version(self) -> int:
-        """Monotonic cluster change counter (decision-cache guard).
+        """Monotonic count of index mutations (read by benchmarks).
 
         Delegates to the index: every placement-relevant mutation — host
         add/remove, decommission, and every committed/subscribed delta —
@@ -224,10 +223,6 @@ class GlobalScheduler:
             subscription_ratio_limit=platform_config.subscription_ratio_limit,
             high_watermark=platform_config.subscription_high_watermark)
         self._rng = rng or SeededRandom(platform_config.seed)
-        # The platform's policy-decision cache (repro.core.runstate), wired
-        # in by NotebookOSPlatform; None for standalone construction, which
-        # then computes every decision directly (the frozen reference path).
-        self.decisions = None
         self.kernels: Dict[str, DistributedKernel] = {}
         self.pending_scale_out = 0
         self.migrations_attempted = 0
@@ -350,14 +345,25 @@ class GlobalScheduler:
         """The replica the scheduler designates when it has enough information.
 
         Prefers the previous executor (its GPU-resident state is warm), then
-        the replica on the host with the most idle GPUs.  The selection
-        logic lives in :func:`repro.core.runstate.compute_preferred_executor`
-        (pure), and is computed directly: each election queries it exactly
-        once, so the version-guarded memo (still exposed as
-        :meth:`DecisionCache.preferred_executor` for repeat-query callers)
-        would pay guard costs without serving repeats here.
+        the replica on the least-loaded host by ``(idle_gpus desc,
+        subscribed_gpus asc)``.  Pure: no RNG, no mutation — the election
+        itself, which always consumes RNG, happens later in
+        ``ExecutorElection.decide``.
         """
-        return compute_preferred_executor(kernel, gpus_required)
+        # can_lead implies IDLE, so terminated replicas drop out in this pass.
+        candidates = [replica for replica in kernel.replicas
+                      if replica.can_lead(gpus_required)]
+        if not candidates:
+            return None
+        election = kernel.election
+        last = election.last_executor_id if election is not None else None
+        if last is not None:
+            for replica in candidates:
+                if replica.replica_id == last:
+                    return last
+        best = max(candidates,
+                   key=lambda r: (r.host.idle_gpus, -r.host.subscribed_gpus))
+        return best.replica_id
 
     # ------------------------------------------------------------------
     # Replica migration (§3.2.3).
@@ -377,10 +383,7 @@ class GlobalScheduler:
         victim.state = ReplicaState.MIGRATING
 
         # The victim persists its important state to the data store first.
-        namespace = (self.decisions.namespace_objects(kernel)
-                     if self.decisions is not None
-                     else kernel.namespace_objects())
-        large_objects = [obj for obj in namespace
+        large_objects = [obj for obj in kernel.namespace_objects()
                          if obj.size_bytes >= 1024 * 1024]
         if kernel.synchronizer is not None and large_objects:
             yield from kernel.synchronizer.checkpoint_manager.checkpoint_all(

@@ -99,12 +99,6 @@ class LeastLoadedPlacement(PlacementPolicy):
         # over-subscription (§3.2.1); the dynamic cluster-wide limit below it
         # only balances load across hosts.
         self.high_watermark = high_watermark
-        # Optional repro.core.runstate.DecisionCache wired in by the
-        # platform.  Only consulted for version-guarded ClusterState queries
-        # under oversubscription: the exclusive-commit path reads
-        # ``host.pool.can_commit`` (CPU/memory commits), which is not
-        # covered by the cluster version counter, so it always computes.
-        self.decisions = None
 
     # ------------------------------------------------------------------
     # SR limit handling.
@@ -119,17 +113,6 @@ class LeastLoadedPlacement(PlacementPolicy):
         """
         if self.subscription_ratio_limit is not None:
             return self.subscription_ratio_limit
-        decisions = self.decisions
-        if decisions is not None and decisions.enabled \
-                and getattr(hosts, "version", None) is not None:
-            return decisions.sr_limit(
-                hosts, replication_factor,
-                lambda: self._compute_sr_limit(hosts, replication_factor))
-        return self._compute_sr_limit(hosts, replication_factor)
-
-    def _compute_sr_limit(self, hosts: HostSource,
-                          replication_factor: int) -> float:
-        """The frozen dynamic-limit computation (reference path)."""
         dynamic = cluster_subscription_ratio(hosts, replication_factor)
         return max(self.minimum_sr_limit, dynamic)
 
@@ -156,39 +139,7 @@ class LeastLoadedPlacement(PlacementPolicy):
     def candidate_hosts(self, hosts: HostSource, request: ResourceRequest,
                         replicas_needed: int, replication_factor: int,
                         exclude_hosts: Sequence[str] = ()) -> PlacementDecision:
-        decisions = self.decisions
-        if decisions is not None and decisions.enabled \
-                and self.oversubscription_enabled \
-                and getattr(hosts, "version", None) is not None:
-            # Consumers mutate the PlacementDecision they receive
-            # (start_kernel installs fallback hosts on failure), so the
-            # cache holds a frozen (hosts tuple, satisfied, reason) value
-            # and every hit gets a fresh decision object around it.
-            excluded_key = tuple(sorted(set(exclude_hosts)))
-            viable, satisfied, reason = decisions.placement_candidates(
-                hosts, request, replicas_needed, replication_factor,
-                excluded_key,
-                lambda: self._candidate_tuple(hosts, request, replicas_needed,
-                                              replication_factor,
-                                              set(excluded_key)))
-            return PlacementDecision(hosts=list(viable), satisfied=satisfied,
-                                     reason=reason)
-        decision = self._candidate_decision(hosts, request, replicas_needed,
-                                            replication_factor,
-                                            set(exclude_hosts))
-        return decision
-
-    def _candidate_tuple(self, hosts: HostSource, request: ResourceRequest,
-                         replicas_needed: int, replication_factor: int,
-                         excluded: set) -> tuple:
-        decision = self._candidate_decision(hosts, request, replicas_needed,
-                                            replication_factor, excluded)
-        return (tuple(decision.hosts), decision.satisfied, decision.reason)
-
-    def _candidate_decision(self, hosts: HostSource, request: ResourceRequest,
-                            replicas_needed: int, replication_factor: int,
-                            excluded: set) -> PlacementDecision:
-        """The frozen candidate-selection walk (reference path)."""
+        excluded = set(exclude_hosts)
         balance_limit = min(self.effective_sr_limit(hosts, replication_factor),
                             self.high_watermark)
         # First pass: respect the dynamic cluster-wide balancing limit.

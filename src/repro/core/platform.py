@@ -46,7 +46,6 @@ from repro.core.global_scheduler import ClusterState, GlobalScheduler
 from repro.core.gpu_binding import GpuBindingModel
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.placement import LeastLoadedPlacement
-from repro.core.runstate import RunState
 from repro.jupyter.session import NotebookSession
 from repro.metrics.collector import EventKind, ExperimentResult, MetricsCollector
 from repro.metrics.latency_breakdown import LatencyBreakdown
@@ -105,25 +104,16 @@ class NotebookOSPlatform:
             self.cluster.add_host(host, scheduler)
         self.prewarmer.start_maintenance()
 
-        # Columnar run state + policy-decision cache.  With batching
-        # disabled every consumer computes decisions through the frozen
-        # per-task reference path (DecisionCache bypasses its store), which
-        # is bit-identical by construction — the differential tests in
-        # tests/test_policy_batch.py pin it.
-        self.runstate = RunState(enabled=self.config.policy_batching_enabled)
-
         # Control plane.
         placement = LeastLoadedPlacement(
             oversubscription_enabled=self.config.oversubscription_enabled,
             subscription_ratio_limit=self.config.subscription_ratio_limit,
             high_watermark=self.config.subscription_high_watermark)
-        placement.decisions = self.runstate.decisions
         self.global_scheduler = GlobalScheduler(
             self.env, self.cluster, self.config, self.cluster_config,
             provisioner=self.provisioner, prewarmer=self.prewarmer,
             datastore=self.datastore, metrics=self.metrics, placement=placement,
             rng=self.rng.substream("global-scheduler"), hooks=self.hooks)
-        self.global_scheduler.decisions = self.runstate.decisions
         self.autoscaler = AutoScaler(self.env, self.global_scheduler,
                                      self.config, self.cluster_config)
 
@@ -243,8 +233,6 @@ class NotebookOSPlatform:
         started_wallclock = _wallclock.monotonic()
         ast_hits_before, ast_misses_before = ast_cache_stats()
         dispatch_before = self.env.dispatch_stats()
-        self.runstate.begin_run(trace)
-        decisions_before = self.runstate.counters()
         # (Re-)seat the collector first on the bus: idempotent for the normal
         # construct-then-run flow, and restores the subscription the previous
         # run's teardown removed if this platform is driven twice.
@@ -272,7 +260,6 @@ class NotebookOSPlatform:
             "started_wallclock": started_wallclock,
             "ast_before": (ast_hits_before, ast_misses_before),
             "dispatch_before": dispatch_before,
-            "decisions_before": decisions_before,
             "allof": (AllOf(self.env, session_processes)
                       if session_processes else None),
         }
@@ -329,16 +316,9 @@ class NotebookOSPlatform:
         ast_hits, ast_misses = ast_cache_stats()
         dispatch_after = self.env.dispatch_stats()
         dispatch_before = workload["dispatch_before"]
-        decisions_after = self.runstate.counters()
-        decisions_before = workload["decisions_before"]
         stats = {
             "ast_cache_hits": ast_hits - ast_hits_before,
             "ast_cache_misses": ast_misses - ast_misses_before,
-            # Policy-decision cache + admission-batching counters for
-            # this run (see repro.core.runstate); all zero when
-            # policy batching is disabled.
-            "decisions": {key: decisions_after[key] - decisions_before[key]
-                          for key in decisions_after},
             # Engine dispatch counters for this run (see
             # Environment.dispatch_stats); the repro.profiling
             # subsystem folds these into its report.
@@ -407,11 +387,6 @@ class NotebookOSPlatform:
                 # runs byte-identical.
                 if env.now < self.admission_throttle_until:
                     yield self.admission_throttle_delay_s
-                # Batched decision warming: synchronous, adds no events and
-                # no simulated time — the first on-time admission at each
-                # timestamp hands the whole same-timestamp batch to the
-                # policy's decide_batch (pure cache-warming).
-                self.runstate.admit(self, session, task)
                 metrics = self.metrics.new_task(
                     session_id=session.session_id, kernel_id=notebook_session.kernel_id,
                     submitted_at=env.now, gpus=task.gpus, is_gpu_task=task.is_gpu_task)

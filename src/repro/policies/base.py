@@ -12,7 +12,6 @@ The helpers here implement the request-path steps shared by every policy
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.collector import TaskMetrics
@@ -21,31 +20,6 @@ from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.platform import NotebookOSPlatform
-
-
-def poll_interval(field: str, value: float) -> float:
-    """``value`` if it is a usable poll interval, else ``ValueError``.
-
-    A waiting loop sleeps this long between polls, so zero would poll
-    forever at one instant, and a negative or NaN sleep would fail from
-    inside the engine.  Policies check their intervals when they are built,
-    before the run dispatches anything.
-    """
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{field} must be positive and finite, got {value}")
-    return value
-
-
-def wait_bound(field: str, value: float) -> float:
-    """``value`` if it is a usable wait length or timeout, else ``ValueError``.
-
-    Unlike a poll interval, zero is fine here: no sleep, or a timeout that
-    expires at the first check.  A negative, NaN or infinite value would
-    fail from inside the engine, never expire, or silently act as zero.
-    """
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{field} must be non-negative and finite, got {value}")
-    return value
 
 
 class SchedulingPolicy:
@@ -72,28 +46,6 @@ class SchedulingPolicy:
     def on_session_end(self, platform: "NotebookOSPlatform", session: SessionTrace):
         """Tear down per-session resources."""
         yield 0.0
-
-    # ------------------------------------------------------------------
-    # Batched decisions (columnar fast path).
-    # ------------------------------------------------------------------
-    def decide_batch(self, platform: "NotebookOSPlatform", batch) -> int:
-        """Warm the policy-decision cache for one same-timestamp batch.
-
-        The platform's :class:`~repro.core.runstate.RunState` calls this
-        *synchronously* (not a simulation process) at the first admission of
-        each distinct submit timestamp, passing an
-        :class:`~repro.core.runstate.AdmissionBatch` that covers every task
-        submitting at that instant — one policy call per policy per
-        timestamp, mirroring the engine's fused same-timestamp dispatch.
-
-        Implementations must be **pure** with respect to simulation state:
-        no mutation, no RNG draws, no simulated time — only reads and
-        version-guarded decision-cache stores, so a batched run stays
-        bit-identical to the frozen per-task reference regardless of how
-        accurate the warm-ahead turns out to be.  Returns the number of
-        decisions warmed (0 for policies with nothing cacheable).
-        """
-        return 0
 
     # ------------------------------------------------------------------
     # Metrics hooks.

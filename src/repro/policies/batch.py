@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.api.registry import register_policy
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceRequest
+from repro.core.config import require_positive
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy, poll_interval
+from repro.policies.base import SchedulingPolicy
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,7 +37,7 @@ class BatchPolicy(SchedulingPolicy):
     replication_factor = 1
 
     def __init__(self, queue_poll_interval_s: float = 5.0) -> None:
-        self.queue_poll_interval_s = poll_interval(
+        self.queue_poll_interval_s = require_positive(
             "queue_poll_interval_s", queue_poll_interval_s)
         #: One ticket per waiting job, in arrival order; ``_queue[0]`` is
         #: the head.  A follower parks on its ticket until it is handed the
@@ -50,38 +51,8 @@ class BatchPolicy(SchedulingPolicy):
         # Served by the cluster's idle-GPU buckets: hopeless polls (no
         # qualifying bucket) are rejected in O(buckets) while the FCFS queue
         # waits for capacity, and a hit reads max(idle_gpus, host_id)
-        # straight off the best bucket — never a host-list scan.  With the
-        # decision cache wired, repeated polls between cluster deltas (the
-        # saturated-queue steady state) are one dict lookup.
-        runstate = getattr(platform, "runstate", None)
-        if runstate is not None:
-            return runstate.decisions.most_idle_host(platform.cluster, gpus)
+        # straight off the best bucket — never a host-list scan.
         return platform.cluster.most_idle_host(gpus)
-
-    # ------------------------------------------------------------------
-    # Batched decisions.
-    # ------------------------------------------------------------------
-    def decide_batch(self, platform: "NotebookOSPlatform", batch) -> int:
-        """Warm one FCFS host probe per distinct GPU request size.
-
-        Only the pure host probes are warmed (the clamp and the
-        ``max(gpus, 1)`` floor mirror the per-task effective request
-        computation in ``execute_task``).  The FCFS queue is left alone: a
-        job joins it only in :meth:`_acquire_host`, where only the head
-        polls, each follower is handed the head when the job ahead of it
-        leaves, and it then polls on its own grid — at the handoff instant
-        itself when that instant is exactly on its grid (the tie rule).
-        """
-        runstate = getattr(platform, "runstate", None)
-        if runstate is None or not runstate.enabled:
-            return 0
-        cap = platform.cluster_config.host_spec.num_gpus
-        warmed = 0
-        for gpus in batch.gpu_requests():
-            gpus = min(gpus, cap)
-            self._find_host(platform, max(gpus, 1) if gpus else 0)
-            warmed += 1
-        return warmed
 
     def _acquire_host(self, platform: "NotebookOSPlatform", gpus: int):
         """Simulation process: FCFS-wait until some host has ``gpus`` idle GPUs.

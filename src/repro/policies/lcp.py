@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.api.registry import register_policy
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceRequest
+from repro.core.config import require_positive
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy, poll_interval
+from repro.policies.base import SchedulingPolicy
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,32 +36,20 @@ class LargeContainerPoolPolicy(SchedulingPolicy):
     replication_factor = 1
 
     def __init__(self, gpu_wait_poll_s: float = 5.0) -> None:
-        self.gpu_wait_poll_s = poll_interval("gpu_wait_poll_s", gpu_wait_poll_s)
+        self.gpu_wait_poll_s = require_positive("gpu_wait_poll_s",
+                                                gpu_wait_poll_s)
 
     # ------------------------------------------------------------------
     # Host / container acquisition.
     # ------------------------------------------------------------------
     def _find_host(self, platform: "NotebookOSPlatform", gpus: int) -> Optional[Host]:
-        # Version-guarded memo over the scan below: the guard covers both
-        # the cluster index (host/GPU churn) and the prewarmer (warm-pool
-        # churn), the two inputs the scan reads.
-        runstate = getattr(platform, "runstate", None)
-        if runstate is not None:
-            return runstate.decisions.warm_pool_host(
-                platform.cluster, platform.prewarmer, gpus,
-                lambda: self._scan_for_host(platform, gpus))
-        return self._scan_for_host(platform, gpus)
-
-    def _scan_for_host(self, platform: "NotebookOSPlatform",
-                       gpus: int) -> Optional[Host]:
-        # The frozen reference scan.  Served from the cluster's idle-GPU
-        # buckets: only qualifying hosts are enumerated (best bucket first,
-        # host ids ascending), so the common few-hosts-qualify case costs
-        # O(answer) instead of the old O(n) rank-list scan.  The selection
-        # is identical to minimizing (-has_warm_container, -idle_gpus,
-        # host_id) over qualifying hosts: walking (idle desc, id asc), the
-        # first warm host is the minimum among warm hosts, and the very
-        # first host is the no-warm fallback.
+        # Served from the cluster's idle-GPU buckets: only qualifying hosts
+        # are enumerated (best bucket first, host ids ascending), so the
+        # common few-hosts-qualify case costs O(answer) instead of an O(n)
+        # rank-list scan.  The selection is identical to minimizing
+        # (-has_warm_container, -idle_gpus, host_id) over qualifying hosts:
+        # walking (idle desc, id asc), the first warm host is the minimum
+        # among warm hosts, and the very first host is the no-warm fallback.
         available = platform.prewarmer.available
         fallback: Optional[Host] = None
         for host in platform.cluster.iter_hosts_by_idle_desc(gpus):
@@ -69,27 +58,6 @@ class LargeContainerPoolPolicy(SchedulingPolicy):
             if fallback is None:
                 fallback = host
         return fallback
-
-    # ------------------------------------------------------------------
-    # Batched decisions.
-    # ------------------------------------------------------------------
-    def decide_batch(self, platform: "NotebookOSPlatform", batch) -> int:
-        """Warm one host probe per distinct GPU request size in the batch.
-
-        ``execute_task`` probes synchronously at admission time — before any
-        ingress sleep — so a warmed probe is a guaranteed cache hit for
-        every task in the batch (the clamp below mirrors the per-task
-        effective request computation).
-        """
-        runstate = getattr(platform, "runstate", None)
-        if runstate is None or not runstate.enabled:
-            return 0
-        cap = platform.cluster_config.host_spec.num_gpus
-        warmed = 0
-        for gpus in batch.gpu_requests():
-            self._find_host(platform, min(gpus, cap))
-            warmed += 1
-        return warmed
 
     # ------------------------------------------------------------------
     # Cell execution.

@@ -13,9 +13,10 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.api.registry import register_policy
 from repro.cluster.resources import ResourceRequest
+from repro.core.config import require_non_negative, require_positive
 from repro.core.distributed_kernel import DistributedKernel, ReplicaState
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy, poll_interval, wait_bound
+from repro.policies.base import SchedulingPolicy
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,9 +35,10 @@ class NotebookOSPolicy(SchedulingPolicy):
 
     def __init__(self, gpu_wait_poll_s: float = 2.0,
                  gpu_wait_timeout_s: float = 120.0) -> None:
-        self.gpu_wait_poll_s = poll_interval("gpu_wait_poll_s", gpu_wait_poll_s)
-        self.gpu_wait_timeout_s = wait_bound("gpu_wait_timeout_s",
-                                             gpu_wait_timeout_s)
+        self.gpu_wait_poll_s = require_positive("gpu_wait_poll_s",
+                                                gpu_wait_poll_s)
+        self.gpu_wait_timeout_s = require_non_negative("gpu_wait_timeout_s",
+                                                       gpu_wait_timeout_s)
         self._kernels: Dict[str, DistributedKernel] = {}
 
     # ------------------------------------------------------------------
@@ -62,42 +64,6 @@ class NotebookOSPolicy(SchedulingPolicy):
         return self._kernels.get(session_id)
 
     # ------------------------------------------------------------------
-    # Batched decisions.
-    # ------------------------------------------------------------------
-    def decide_batch(self, platform: "NotebookOSPlatform", batch) -> int:
-        """Warm the namespace snapshot of every kernel admitting a task.
-
-        The namespace memo is the decision that genuinely repeats — every
-        post-execution replication re-derives it, and it never invalidates
-        — so warming it here makes the whole batch's replication chains
-        O(1) lookups.  Election inputs (proposals, preferred executor) are
-        deliberately *not* pre-warmed: they are queried exactly once per
-        task after the ingress sleep, so admission-time warming would run
-        the same computation one extra time per task for no repeat use;
-        they are cached at use time instead, where quiet stretches between
-        cluster deltas turn repeat queries into hits.  Pure: the election
-        itself — which always consumes RNG — still runs per task in
-        ``execute_task``.
-        """
-        runstate = getattr(platform, "runstate", None)
-        if runstate is None or not runstate.enabled:
-            return 0
-        decisions = runstate.decisions
-        warmed = 0
-        seen = set()
-        table = batch.table
-        for index in batch.indices:
-            kernel = self._kernels.get(table.session_ids[index])
-            if kernel is None:       # session not started yet: per-task path
-                continue
-            if kernel.kernel_id in seen:
-                continue
-            seen.add(kernel.kernel_id)
-            decisions.namespace_objects(kernel)
-            warmed += 1
-        return warmed
-
-    # ------------------------------------------------------------------
     # Cell execution.
     # ------------------------------------------------------------------
     def execute_task(self, platform: "NotebookOSPlatform", session: SessionTrace,
@@ -115,14 +81,6 @@ class NotebookOSPolicy(SchedulingPolicy):
         # captured before the election to derive the reuse statistic.
         previous_executor = kernel.election.last_executor_id
         gpus_needed = task.gpus if task.is_gpu_task else 0
-        # Proposals and the preferred executor are computed directly: each is
-        # queried exactly once per election, so a guarded memo would pay
-        # guard-construction costs comparable to the computation itself
-        # without ever serving a repeat.  (DecisionCache.proposals /
-        # .preferred_executor stay available for callers with repeat-query
-        # patterns: their guard snapshots every replica's state and host
-        # version, so replica state changes need no notification, and the
-        # differential harness pins their equivalence.)
         proposals = kernel.make_proposals(gpus_needed)
         if not proposals:
             # Every replica is gone or busy migrating (failure injection can
@@ -258,11 +216,8 @@ class NotebookOSPolicy(SchedulingPolicy):
     def _replicate_state(self, platform: "NotebookOSPlatform",
                          kernel: DistributedKernel, executor_replica: str,
                          task: TaskRecord):
-        runstate = getattr(platform, "runstate", None)
-        namespace = (runstate.decisions.namespace_objects(kernel)
-                     if runstate is not None else kernel.namespace_objects())
         report = yield from kernel.synchronizer.synchronize(
-            task.code, namespace, node_id=executor_replica)
+            task.code, kernel.namespace_objects(), node_id=executor_replica)
         if report.raft_sync_latency > 0:
             platform.metrics.raft_sync_latencies.append(report.raft_sync_latency)
         return report

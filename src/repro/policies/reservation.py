@@ -16,8 +16,9 @@ from repro.api.registry import register_policy
 from repro.cluster.container import Container
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceRequest
+from repro.core.config import require_non_negative
 from repro.metrics.collector import TaskMetrics
-from repro.policies.base import SchedulingPolicy, wait_bound
+from repro.policies.base import SchedulingPolicy
 from repro.workload.trace import SessionTrace, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +48,8 @@ class ReservationPolicy(SchedulingPolicy):
     def __init__(self, state_persist_s: float = 0.15) -> None:
         # Small post-execution state persistence on the critical path
         # (Figure 16, step 9): kernels flush small updated state after a cell.
-        self.state_persist_s = wait_bound("state_persist_s", state_persist_s)
+        self.state_persist_s = require_non_negative("state_persist_s",
+                                                    state_persist_s)
         self._reservations: Dict[str, _Reservation] = {}
 
     # ------------------------------------------------------------------
@@ -97,21 +99,6 @@ class ReservationPolicy(SchedulingPolicy):
                     if h.pool.can_commit(request)),
                    key=lambda h: (h.pool.committed.gpus, h.host_id),
                    default=None)
-
-    # ------------------------------------------------------------------
-    # Batched decisions: deliberately nothing.
-    # ------------------------------------------------------------------
-    def decide_batch(self, platform: "NotebookOSPlatform", batch) -> int:
-        """No decisions are safely cacheable for Reservation.
-
-        ``_find_host`` filters on ``host.pool.can_commit`` — CPU/memory
-        commits on the per-host :class:`ResourcePool`, which is *not*
-        covered by the cluster version counter (pool commit/release fires
-        no delta hook) — so a version-guarded memo of it could serve stale
-        answers.  The task chain itself holds no repeated pure decision:
-        the reservation pins the host for the session's lifetime.
-        """
-        return 0
 
     # ------------------------------------------------------------------
     # Cell execution: the GPUs are already bound to the session.

@@ -59,10 +59,6 @@ class ProfileReport:
     hook_counts: Dict[str, int] = field(default_factory=dict)
     #: Run-scoped cache counters (currently the statesync AST cache).
     ast_cache: Dict[str, int] = field(default_factory=dict)
-    #: Policy-decision cache + admission-batching counters (``hits`` /
-    #: ``misses`` / ``batches`` / ``batched_tasks`` / ``warmed``; see
-    #: :mod:`repro.core.runstate`).  All zero when policy batching is off.
-    decisions: Dict[str, int] = field(default_factory=dict)
     #: Peak process memory at run end (``peak_rss_bytes`` always on POSIX,
     #: ``peak_traced_bytes`` when tracemalloc is running) — see
     #: :func:`repro.profiling.memory_stats`.
@@ -108,7 +104,6 @@ class ProfileReport:
             "event_counts": dict(self.event_counts),
             "hook_counts": dict(self.hook_counts),
             "ast_cache": dict(self.ast_cache),
-            "decisions": dict(self.decisions),
             "memory": dict(self.memory),
             "sim_time_s": self.sim_time_s,
             "derived": {
@@ -148,14 +143,6 @@ class ProfileReport:
         if self.ast_cache:
             lines.append(f"  ast cache: {self.ast_cache.get('hits', 0):,} hits"
                          f" / {self.ast_cache.get('misses', 0):,} misses")
-        if any(self.decisions.values()):
-            dc = self.decisions
-            lines.append(
-                f"  decision cache: {dc.get('hits', 0):,} hits / "
-                f"{dc.get('misses', 0):,} misses, "
-                f"{dc.get('batches', 0):,} admission batches "
-                f"({dc.get('batched_tasks', 0):,} tasks, "
-                f"{dc.get('warmed', 0):,} warmed)")
         if self.memory:
             parts = [f"peak rss {self.memory['peak_rss_bytes'] / 2**20:,.1f} MB"
                      if "peak_rss_bytes" in self.memory else None,
@@ -293,7 +280,6 @@ class Profiler:
             hook_counts=dict(self._hook_counts),
             ast_cache={"hits": stats.get("ast_cache_hits", 0),
                        "misses": stats.get("ast_cache_misses", 0)},
-            decisions=dict(stats.get("decisions", {})),
             memory=dict(stats.get("memory", {})),
             shard=dict(stats.get("shard", {})),
             sim_time_s=platform.env.now - self._sim_started,

@@ -25,8 +25,8 @@ admission-throttle attributes consulted by the session processes):
     build without QoS.
 ``admission_throttle``
     Defers every task admission for the next ``hold_s`` seconds by
-    ``delay_s`` — backpressure at the `RunState.admit` seam, applied in the
-    session processes *before* the batched decision warming runs.
+    ``delay_s`` — backpressure applied in the session processes just
+    before each task is submitted.
 
 Custom actions register with :func:`register_action`::
 

@@ -38,6 +38,7 @@ kwargs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -262,8 +263,9 @@ class QosConfig:
     window_s: float = 300.0
 
     def validate(self) -> None:
-        if self.window_s <= 0.0:
-            raise ValueError("qos window_s must be positive")
+        if not math.isfinite(self.window_s) or self.window_s <= 0.0:
+            raise ValueError(
+                f"qos window_s must be positive and finite, got {self.window_s}")
         seen = set()
         for target in self.targets:
             target.validate()

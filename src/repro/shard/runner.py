@@ -3,8 +3,7 @@
 ``run_sharded`` is the entry point.  ``num_shards=1`` is the **frozen
 reference path**: it delegates straight to ``Simulation.from_spec(spec)``
 — zero shard machinery touches the run, so it is bit-identical to the
-pre-shard serial path (the same freeze discipline
-``policy_batching_enabled=False`` established for the decision batcher).
+pre-shard serial path.
 
 For K > 1 the run proceeds in lockstep epochs over the *global* horizon:
 

@@ -484,7 +484,7 @@ class Environment:
                     _overflow=overflow, _inv_w=inv_width,
                     _n=num_buckets) -> Timeout:
             """Create a timeout event that triggers after ``delay`` seconds."""
-            if delay < 0:
+            if not delay >= 0:  # NaN fails too
                 raise ValueError(f"negative timeout delay: {delay}")
             t = _new(_cls)
             t.env = self
@@ -532,7 +532,7 @@ class Environment:
             bit-identical timestamps.
             """
             now = self._now
-            if time < now:
+            if not time >= now:  # NaN fails too
                 raise ValueError(
                     f"cannot sleep until {time}: simulation time is already {now}")
             t = _new(_cls)
@@ -621,7 +621,7 @@ class Environment:
             ``timeout(delay).add_callback(fn)``; nothing can wait on a
             deferred call.
             """
-            if delay < 0:
+            if not delay >= 0:  # NaN fails too
                 raise SimulationError(
                     f"cannot schedule callback in the past: {delay}")
             c = _new(_cls)
@@ -797,7 +797,7 @@ class Environment:
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event`` for processing ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule event in the past: {delay}")
         self._push(self._now + delay, event)
 
@@ -915,7 +915,7 @@ class Environment:
         if isinstance(until, Event):
             return self._run_until_event(until)
         limit = float("inf") if until is None else float(until)
-        if limit < self._now:
+        if not limit >= self._now:  # NaN fails too
             raise SimulationError(
                 f"cannot run until {limit}: simulation time is already {self._now}")
         # Hot loop: one fused batch per distinct timestamp — the clock and

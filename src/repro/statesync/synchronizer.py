@@ -88,15 +88,15 @@ class StateSynchronizer:
         # code -> full sync plan: (namespace list object, small, large,
         # small bytes, large bytes).  An entry is valid only while the
         # caller passes the *same* namespace list object (identity check):
-        # the kernel-level namespace memo in repro.core.runstate returns a
-        # stable list, so repeated executions of the same cell skip the
-        # filter/partition scans and the byte sums.  The cache key is the
-        # same source text the content-keyed AST memo
+        # DistributedKernel.namespace_objects builds its list once and
+        # returns it on every call, so repeated executions of the same cell
+        # skip the filter/partition scans and the byte sums.  The cache key
+        # is the same source text the content-keyed AST memo
         # (repro.statesync.ast_analysis.analyze_code) is keyed on, so a hit
-        # here pairs with a hit there and the whole decision batch for a
-        # checkpoint round is O(1) per call.  Without the namespace memo
-        # each call passes a fresh list and this cache just recomputes —
-        # same result either way (the partition is deterministic).
+        # here pairs with a hit there and the whole replication plan for a
+        # checkpoint round is O(1) per call.  A caller that passes a fresh
+        # list each time just recomputes — same result either way (the
+        # partition is deterministic).
         self._partition_cache: dict = {}
 
     def synchronize(self, code: str, namespace_objects: Sequence[NamespaceObject],

@@ -17,8 +17,8 @@ reproduces these files exactly.
 
 The mega-smoke golden replays a scaled-down ``mega_scale`` scenario
 (same platform/cluster config preset, fewer sessions over a shorter
-window) so the batched-decision fast path is pinned on the scenario
-family it targets, at a size the test suite can afford.
+window) so the scheduling path is pinned on the large-cluster scenario
+family, at a size the test suite can afford.
 """
 
 from __future__ import annotations

@@ -118,8 +118,6 @@ class ScriptedCluster:
 class StubPlatform:
     """The two things ``_acquire_host`` reads: ``env`` and a cluster."""
 
-    runstate = None
-
     def __init__(self, steps) -> None:
         self.env = Environment()
         self.cluster = ScriptedCluster(self.env, steps)

@@ -48,6 +48,33 @@ def test_platform_config_rejects_bad_values():
         PlatformConfig(metrics_sample_interval_s=0).validate()
 
 
+NAN, INF = float("nan"), float("inf")
+RUN_BREAKING_VALUES = [
+    (PlatformConfig, "autoscaler_interval_s", 0),
+    (PlatformConfig, "autoscaler_interval_s", -5),
+    (PlatformConfig, "autoscaler_interval_s", NAN),
+    (PlatformConfig, "autoscaler_interval_s", INF),
+    (PlatformConfig, "metrics_sample_interval_s", NAN),
+    (PlatformConfig, "host_failure_interval_s", NAN),
+    (PlatformConfig, "autoscaler_multiplier", NAN),
+    (PlatformConfig, "jupyter_processing_s", NAN),
+    (PlatformConfig, "network_hop_s", -1),
+    (ClusterConfig, "vm_boot_time_mean_s", 0),
+    (ClusterConfig, "vm_boot_time_mean_s", -5),
+    (ClusterConfig, "vm_boot_time_mean_s", NAN),
+]
+
+
+@pytest.mark.parametrize("config_class, field, value", RUN_BREAKING_VALUES,
+                         ids=[f"{field}={value}"
+                              for _, field, value in RUN_BREAKING_VALUES])
+def test_config_rejects_run_breaking_values(config_class, field, value):
+    # Each value would hang the run, crash it from inside the engine or the
+    # VM provisioner, or be kept silently, so validation must reject it.
+    with pytest.raises(ValueError, match=field):
+        config_class(**{field: value}).validate()
+
+
 def test_cluster_config_validation():
     ClusterConfig(initial_hosts=10, max_hosts=20).validate()
     with pytest.raises(ValueError):
@@ -402,6 +429,17 @@ def test_kernel_replica_management():
     assert kernel.replica_by_id("k1-r1") is None
     assert kernel.replica_by_id("k1-r0") is not None
     assert set(kernel.host_ids) == {"h0", "h2"}
+
+
+def test_namespace_memo_is_stable_and_equal():
+    kernel = make_kernel_with_replicas()
+    first = kernel.namespace_objects()
+    # The same list object every call: the state synchronizer reuses its
+    # partition of the namespace by identity.
+    assert kernel.namespace_objects() is first
+    other = make_kernel_with_replicas()
+    assert other.namespace_objects() == first
+    assert other.namespace_objects() is not first
 
 
 def test_kernel_namespace_objects_include_model_as_large_object():

@@ -21,15 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunSpec, Simulation
+from repro.api import RunSpec, Simulation, default_policy_registry
 from repro.cluster.container import ContainerRuntime
 from repro.cluster.provisioner import VMProvisioner
 from repro.cluster.resources import ResourceRequest
+from repro.core import ClusterConfig, NotebookOSPlatform
+from repro.core.election import ExecutorElection
 from repro.experiments import default_registry
 from repro.experiments.runner import _execute_spec
 from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult, MetricsCollector
 from repro.simulation import AllOf, AnyOf, Environment, Interrupt, SeededRandom
+from repro.workload import AdobeTraceGenerator
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +177,53 @@ def test_stepped_replay_matches_run_workload(policy):
         finally:
             platform.detach_metrics()
         assert _digest(result) == expected, (policy, epochs)
+
+
+# ----------------------------------------------------------------------
+# Two full replays in one process are the same run.
+# ----------------------------------------------------------------------
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["notebookos", "reservation", "lcp",
+                                    "batch"])
+def test_replay_twice_in_one_process_is_bit_identical(policy, monkeypatch):
+    """A second replay in the same process repeats the first exactly: the
+    collector digest, every task's placement and timing, and every election.
+
+    perfbench replays each workload several times in one process and counts
+    every task of a repetition whose digest disagrees as failed; this pins
+    the same property on a trace that migrates, scales and queues.
+    """
+    elections = []
+    decide = ExecutorElection.decide
+
+    def recording_decide(self, proposals, preferred_replica=None):
+        outcome = decide(self, proposals, preferred_replica)
+        elections.append((self.kernel_id,) + outcome.signature())
+        return outcome
+
+    monkeypatch.setattr(ExecutorElection, "decide", recording_decide)
+
+    def replay():
+        elections.clear()
+        trace = AdobeTraceGenerator(seed=5, num_sessions=40,
+                                    duration_hours=4.0).generate()
+        platform = NotebookOSPlatform(
+            default_policy_registry().create(policy),
+            cluster_config=ClusterConfig(initial_hosts=12))
+        result = platform.run_workload(trace)
+        tasks = [(t.session_id, t.kernel_id, t.executor_replica,
+                  t.submitted_at, t.started_at, t.completed_at, t.status)
+                 for t in result.collector.tasks]
+        return _digest(result), tasks, list(elections)
+
+    digest, tasks, election_log = replay()
+    assert tasks
+    if policy == "notebookos":
+        assert election_log
+    again = replay()
+    assert again[0] == digest, "collector digests differ"
+    assert again[1] == tasks, "per-task placements or timings differ"
+    assert again[2] == election_log, "election outcomes differ"
 
 
 # ----------------------------------------------------------------------

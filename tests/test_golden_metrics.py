@@ -87,8 +87,8 @@ def test_gpu_hours_match_exactly(golden, current):
 
 
 def test_mega_smoke_collector_digest_matches_exactly(mega_golden, mega_current):
-    """The mega_scale-smoke pin: the batched-decision fast path must be
-    byte-identical on the scenario family it was built to accelerate."""
+    """The mega_scale-smoke pin: the scheduling path must be byte-identical
+    on the large-cluster scenario family too, not only on ``smoke``."""
     assert mega_current["overrides"] == mega_golden["overrides"]
     for policy, frozen in mega_golden["policies"].items():
         now = mega_current["policies"][policy]

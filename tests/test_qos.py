@@ -119,6 +119,13 @@ def test_config_validate_rejects_duplicate_names():
         config.validate()
 
 
+@pytest.mark.parametrize("window_s", [float("nan"), float("inf")])
+def test_config_validate_rejects_non_finite_window(window_s):
+    config = QosConfig.from_specs(["interactivity:p99>60"], window_s=window_s)
+    with pytest.raises(ValueError, match="window_s"):
+        config.validate()
+
+
 def test_config_quantiles_cover_all_targets():
     config = QosConfig.from_specs(
         ["interactivity:p99>60", "tct:p50>300", "placement:mean<0.9"])

@@ -38,6 +38,26 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("entry", ["timeout", "at", "defer", "schedule",
+                                   "run"])
+def test_nan_time_rejected(entry):
+    # NaN compares false with everything, so each check is written to fail
+    # on it: it raises the error the entry point raises for a past time.
+    env = Environment()
+    nan = float("nan")
+    calls = {
+        "timeout": (ValueError, lambda: env.timeout(nan)),
+        "at": (ValueError, lambda: env.at(nan)),
+        "defer": (SimulationError, lambda: env.defer(nan, lambda _: None)),
+        "schedule": (SimulationError, lambda: env.schedule(env.event(), nan)),
+        "run": (SimulationError, lambda: env.run(until=nan)),
+    }
+    error, call = calls[entry]
+    with pytest.raises(error):
+        call()
+    assert env.now == 0.0
+
+
 def test_processes_interleave_in_time_order():
     env = Environment()
     order = []
