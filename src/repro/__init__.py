@@ -4,11 +4,11 @@
 Notebook Platform for Interactive Training with On-Demand GPUs*
 (ASPLOS 2026).  It provides:
 
-* ``repro.simulation`` — a discrete-event engine, latency-modelled network,
-  and seeded distributions;
+* ``repro.simulation`` — a discrete-event engine and seeded distributions;
+  control-plane hops (Jupyter Server, Gateway, schedulers, Raft commits)
+  are modelled as latencies, not messages;
 * ``repro.cluster`` — GPU servers, containers, a pre-warmed container pool,
   a distributed data store, and a VM provisioner;
-* ``repro.jupyter`` — notebook sessions;
 * ``repro.statesync`` — AST-based kernel state analysis and replication,
   with the Raft commit of each sync modelled as a latency;
 * ``repro.core`` — the NotebookOS control plane (global/local schedulers,

@@ -8,7 +8,7 @@ This package models the physical/virtual infrastructure NotebookOS runs on:
 * :mod:`repro.cluster.host` — an 8-GPU server with committed and subscribed
   resource accounting (the *subscription ratio* of §3.4.1);
 * :mod:`repro.cluster.index` — incrementally maintained host orderings
-  (placement rank, idle set, idle-GPU histogram) kept current by the
+  (placement rank, idle set, idle-GPU buckets) kept current by the
   ``Host -> ClusterState`` delta hooks, so scheduling decisions are
   O(log n + k) instead of full-cluster sorts;
 * :mod:`repro.cluster.container` — kernel-replica containers with cold/warm

@@ -222,16 +222,6 @@ class HostIndex:
         return sum(len(bucket) for idle, bucket in self._idle_buckets.items()
                    if idle >= min_idle)
 
-    def idle_gpu_histogram(self) -> Dict[int, int]:
-        """``{idle_gpu_count: active hosts with exactly that count}``.
-
-        Sorted by idle count so serializations are deterministic; the shard
-        barrier exchange ships this per epoch to build the merged global
-        cluster view without serializing any host objects.
-        """
-        return {idle: len(bucket)
-                for idle, bucket in sorted(self._idle_buckets.items())}
-
     def most_idle_host(self, min_idle: int) -> Optional[Host]:
         """The host maximizing ``(idle_gpus, host_id)`` with at least
         ``min_idle`` idle GPUs (the Batch baseline's FCFS rank), or None.

@@ -110,9 +110,6 @@ class PlatformConfig:
     metrics_sketch_mode: bool = False
     metrics_sketch_compression: int = 300
 
-    # Idle reclamation interval used by the GPU-hours-saved analysis (Fig. 13).
-    idle_reclamation_interval_s: float = 3600.0
-
     # QoS control plane (repro.qos): a QosConfig (or its dict form) with
     # the declarative targets the closed-loop controller evaluates at
     # telemetry window closes.  None — the default — builds no controller
@@ -144,6 +141,22 @@ class PlatformConfig:
             raise ValueError(f"autoscaler_multiplier must be finite and "
                              f">= 1.0, got {self.autoscaler_multiplier}")
         require_positive("autoscaler_interval_s", self.autoscaler_interval_s)
+        # A watermark or limit <= 0 fails every placement (each one scales
+        # out), and NaN compares false, so it would be ignored.
+        require_positive("subscription_high_watermark",
+                         self.subscription_high_watermark)
+        if self.subscription_ratio_limit is not None:
+            require_positive("subscription_ratio_limit",
+                             self.subscription_ratio_limit)
+        # Counts: zero is legal (no buffer, no scale-in, no retry); a
+        # negative count would shrink the buffer, disable scale-in or abort
+        # every migration without an attempt.
+        for name in ("scaling_buffer_hosts", "max_scale_in_per_round",
+                     "migration_max_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"{name} must be an integer >= 0, got {value!r}")
         require_positive("metrics_sample_interval_s",
                          self.metrics_sample_interval_s)
         if self.host_failure_interval_s is not None:

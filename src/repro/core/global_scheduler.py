@@ -33,7 +33,6 @@ from repro.core.local_scheduler import (
     LocalScheduler,
     start_kernel_replicas,
     terminate_kernel_replicas,
-    uniform_processing_delay,
 )
 from repro.core.placement import LeastLoadedPlacement, PlacementPolicy
 from repro.metrics.collector import EventKind, MetricsCollector
@@ -179,20 +178,6 @@ class ClusterState:
             return 0.0
         return self._subscribed_gpus / (self._total_gpus * replication_factor)
 
-    def aggregate(self) -> Dict[str, int]:
-        """O(1) snapshot of the incremental totals (shard barrier frames).
-
-        Pure reads of already-maintained counters — taking a snapshot
-        schedules nothing and perturbs nothing, which is what lets the
-        shard runner ship one per epoch without touching determinism.
-        """
-        return {
-            "active_hosts": self._active_host_count,
-            "total_gpus": self._total_gpus,
-            "committed_gpus": self._committed_training_gpus,
-            "subscribed_gpus": self._subscribed_gpus,
-        }
-
 
 class GlobalScheduler:
     """Creates, routes to, migrates, and tears down distributed kernels."""
@@ -289,19 +274,10 @@ class GlobalScheduler:
         # order is identical; see local_scheduler.start_kernel_replicas).
         placements = [(index, self.cluster.scheduler_for(host.host_id))
                       for index, host in enumerate(decision.hosts[:replication])]
-        if placements:
-            if uniform_processing_delay(s for _, s in placements) is not None:
-                replicas = yield from start_kernel_replicas(
-                    self.env, kernel, placements)
-            else:  # hand-wired mixed-delay schedulers: per-replica processes
-                start_processes = [
-                    self.env.process(
-                        scheduler.start_kernel_replica(kernel, index))
-                    for index, scheduler in placements]
-                yield AllOf(self.env, start_processes)
-                replicas = [process.value for process in start_processes]
-            for replica in replicas:
-                kernel.add_replica(replica)
+        replicas = yield from start_kernel_replicas(self.env, kernel,
+                                                    placements)
+        for replica in replicas:
+            kernel.add_replica(replica)
         self.kernels[kernel_id] = kernel
         self._publish_event(EventKind.KERNEL_CREATED,
                             f"{kernel_id} on {kernel.host_ids}")
@@ -322,16 +298,7 @@ class GlobalScheduler:
                  for scheduler in
                  [self.cluster.local_schedulers.get(replica.host_id)]
                  if scheduler is not None]
-        if pairs:
-            termination_times = {scheduler.runtime.latency_model.termination_time
-                                 for scheduler, _ in pairs}
-            if (len(termination_times) == 1 and
-                    uniform_processing_delay(s for s, _ in pairs) is not None):
-                yield from terminate_kernel_replicas(self.env, pairs)
-            else:  # hand-wired mixed-latency schedulers
-                processes = [self.env.process(scheduler.terminate_replica(replica))
-                             for scheduler, replica in pairs]
-                yield AllOf(self.env, processes)
+        yield from terminate_kernel_replicas(self.env, pairs)
         kernel.terminated_at = self.env.now
         self.kernels.pop(kernel.kernel_id, None)
         self._publish_event(EventKind.KERNEL_TERMINATED, kernel.kernel_id)

@@ -183,22 +183,18 @@ class LocalScheduler:
 # ----------------------------------------------------------------------
 # Fused multi-replica chains (see the module docstring).
 # ----------------------------------------------------------------------
-def uniform_processing_delay(schedulers: Iterable[LocalScheduler]
-                             ) -> Optional[float]:
-    """The schedulers' shared processing delay, or ``None`` if they differ.
+def _shared(what: str, values: Iterable[float]) -> float:
+    """The one value every fused replica chain shares, else ``ValueError``.
 
-    The fused chains replace R same-valued constant sleeps with one; a
-    mixed-delay set (possible only with hand-wired schedulers — the
-    platform configures every Local Scheduler identically) falls back to
-    the per-replica process form.
+    The fused chains replace R same-valued constant sleeps with one, so a
+    mixed set (possible only with hand-wired schedulers — the platform
+    configures every Local Scheduler identically) would be timed wrongly.
     """
-    delay: Optional[float] = None
-    for scheduler in schedulers:
-        if delay is None:
-            delay = scheduler.processing_delay
-        elif scheduler.processing_delay != delay:
-            return None
-    return delay
+    distinct = sorted(set(values))
+    if len(distinct) != 1:
+        raise ValueError(
+            f"fused replica chains need one {what}, got {distinct}")
+    return distinct[0]
 
 
 def start_kernel_replicas(env: Environment, kernel: DistributedKernel,
@@ -212,14 +208,13 @@ def start_kernel_replicas(env: Environment, kernel: DistributedKernel,
     prefixes), then one ``env.at`` wake-up per distinct provision-complete
     time, finishing each replica at its own completion timestamp in
     ``(time, submission-order)`` order.  Returns the replicas in placement
-    order, like the ``AllOf`` join it replaces.
-
-    Callers must ensure the schedulers share one processing delay (see
-    :func:`uniform_processing_delay`).
+    order, like the ``AllOf`` join it replaces.  Raises ``ValueError`` if
+    the schedulers do not share one processing delay.
     """
     if not placements:
         return []
-    yield placements[0][1].processing_delay
+    yield _shared("Local Scheduler processing delay",
+                  (scheduler.processing_delay for _, scheduler in placements))
     pending = []
     for order, (index, scheduler) in enumerate(placements):
         container, wait = scheduler.begin_replica_start(kernel)
@@ -253,15 +248,21 @@ def terminate_kernel_replicas(env: Environment,
     delay, container termination time) around synchronous bookkeeping, so
     the fused form is two sleeps total with the bookkeeping passes run in
     pair order — the order the per-replica processes' same-timestamp events
-    popped.  Callers must ensure the schedulers share one processing delay
-    and one termination time.
+    popped.  Raises ``ValueError`` if the schedulers do not share one
+    processing delay and one container termination time.
     """
     if not pairs:
         return []
-    yield pairs[0][0].processing_delay
+    delay = _shared("Local Scheduler processing delay",
+                    (scheduler.processing_delay for scheduler, _ in pairs))
+    termination = _shared(
+        "container termination time",
+        (scheduler.runtime.latency_model.termination_time
+         for scheduler, _ in pairs))
+    yield delay
     for scheduler, replica in pairs:
         scheduler.begin_replica_teardown(replica)
-    yield pairs[0][0].runtime.latency_model.termination_time
+    yield termination
     for scheduler, replica in pairs:
         scheduler.runtime.finish_terminate(replica.container)
     return [replica for _, replica in pairs]

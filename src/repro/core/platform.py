@@ -25,7 +25,7 @@ Entry point: the :class:`repro.api.Simulation` builder::
 from __future__ import annotations
 
 import time as _wallclock
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.api.hooks import (
     RUN_END,
@@ -46,7 +46,6 @@ from repro.core.global_scheduler import ClusterState, GlobalScheduler
 from repro.core.gpu_binding import GpuBindingModel
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.placement import LeastLoadedPlacement
-from repro.jupyter.session import NotebookSession
 from repro.metrics.collector import EventKind, ExperimentResult, MetricsCollector
 from repro.metrics.latency_breakdown import LatencyBreakdown
 from repro.profiling.memory import memory_stats
@@ -118,7 +117,6 @@ class NotebookOSPlatform:
                                      self.config, self.cluster_config)
 
         # Run-time session bookkeeping.
-        self.sessions: Dict[str, NotebookSession] = {}
         self.active_session_count = 0
         self.active_training_count = 0
         # Set by the shard runner (repro.shard) when this platform simulates
@@ -354,12 +352,7 @@ class NotebookOSPlatform:
         publish = self.hooks.publish
         if session.start_time > env.now:
             yield session.start_time - env.now
-        notebook_session = NotebookSession(
-            session_id=session.session_id, user_id=session.user_id,
-            kernel_id=f"{session.session_id}-kernel",
-            gpus_required=session.gpus_requested, created_at=env.now)
-        notebook_session.activate(env.now)
-        self.sessions[session.session_id] = notebook_session
+        kernel_id = f"{session.session_id}-kernel"
         self.active_session_count += 1
         publish(PLATFORM_EVENT, env.now, EventKind.SESSION_STARTED,
                 session.session_id)
@@ -388,7 +381,7 @@ class NotebookOSPlatform:
                 if env.now < self.admission_throttle_until:
                     yield self.admission_throttle_delay_s
                 metrics = self.metrics.new_task(
-                    session_id=session.session_id, kernel_id=notebook_session.kernel_id,
+                    session_id=session.session_id, kernel_id=kernel_id,
                     submitted_at=env.now, gpus=task.gpus, is_gpu_task=task.is_gpu_task)
                 publish(TASK_SUBMIT, env.now, session, task, metrics)
                 if task.is_gpu_task:
@@ -409,7 +402,6 @@ class NotebookOSPlatform:
         finally:
             # Non-yielding bookkeeping only: this block must stay safe even if
             # the session process is torn down with an exception in flight.
-            notebook_session.terminate(env.now)
             self.active_session_count -= 1
             publish(PLATFORM_EVENT, env.now, EventKind.SESSION_TERMINATED,
                     session.session_id)

@@ -158,9 +158,7 @@ class ProfileReport:
                 f"barrier stall {s.get('barrier_stall_s', 0.0):.3f} s, "
                 f"{sum(dispatched):,} entries across epochs, "
                 f"pressure {s.get('pressure_gpus', 0)} GPUs "
-                f"({s.get('pressure_events', 0)} events), "
-                f"msgs {s.get('messages_sent', 0)} out / "
-                f"{s.get('messages_received', 0)} in")
+                f"({s.get('pressure_events', 0)} events)")
         if self.event_counts:
             lines.append("  platform events:")
             width = max(len(k) for k in self.event_counts)

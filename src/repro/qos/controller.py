@@ -26,7 +26,7 @@ actions taken.
 Determinism: a :class:`TargetState` decision is a pure function of the
 window-snapshot sequence it has seen (plus, when a
 :class:`~repro.shard.barrier.ShardContext` is attached, the fleet pressure
-of the current barrier frame — itself a deterministic function of epoch
+of the last merged barrier frame — itself a deterministic function of epoch
 state identical under the serial and parallel shard drivers).  Replaying
 the same snapshot sequence through a fresh machine yields the identical
 transition sequence; the hypothesis property test pins this.
@@ -180,7 +180,7 @@ class QosController:
     # Window evaluation.
     # ------------------------------------------------------------------
     def _fleet_pressure(self) -> int:
-        """Fleet-wide GPU deficit from the shard barrier frame, if any.
+        """Fleet-wide GPU deficit from the last shard barrier, if any.
 
         One-epoch-stale by design: both shard drivers absorb frames at
         identical barrier epochs, so this value is a pure function of
@@ -189,10 +189,7 @@ class QosController:
         context = getattr(self.platform, "shard_context", None)
         if context is None:
             return 0
-        view = context.global_view
-        if view is None or not view.fresh:
-            return 0
-        return view.frame.pressure
+        return context.fleet_pressure
 
     def _make_window_callback(self, state: TargetState):
         def on_window(snapshot: "WindowSnapshot") -> None:

@@ -2,17 +2,13 @@
 
 Partitions one run's sessions over K shards, each simulated by its own
 calendar-queue engine (in-process or one process per shard), exchanging
-aggregate cluster state and cross-shard messages at fixed epoch barriers.
-Serial and parallel execution of the same K-shard plan are byte-identical;
-``num_shards=1`` bypasses all of it and is the frozen serial reference.
+fleet-wide capacity pressure at fixed epoch barriers; nothing else crosses
+shards.  Serial and parallel execution of the same K-shard plan are
+byte-identical; ``num_shards=1`` bypasses all of it and is the frozen
+serial reference.
 """
 
-from repro.shard.barrier import (
-    GlobalClusterView,
-    GlobalFrame,
-    ShardContext,
-    ShardFrame,
-)
+from repro.shard.barrier import GlobalFrame, ShardContext, ShardFrame
 from repro.shard.merge import merge_collectors, merge_results
 from repro.shard.plan import (
     ShardPlan,
@@ -28,7 +24,6 @@ from repro.shard.runner import (
 )
 
 __all__ = [
-    "GlobalClusterView",
     "GlobalFrame",
     "ShardContext",
     "ShardFrame",

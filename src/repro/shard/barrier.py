@@ -1,28 +1,28 @@
-"""Barrier frames: what shards exchange, and the merged global view.
+"""Barrier frames: what shards exchange at each epoch barrier.
 
-At every epoch barrier each shard emits one :class:`ShardFrame` — an O(1)
-observational snapshot (cluster aggregates, idle-GPU histogram, capacity
-pressure) plus any outgoing cross-shard messages.  The coordinator merges
-the K frames **in shard index order** into one :class:`GlobalFrame` and
-broadcasts it back; each shard folds the global frame into its
-:class:`GlobalClusterView` and collects the messages addressed to it.
+At every epoch barrier each shard emits one :class:`ShardFrame` carrying
+the GPUs of placement-failure deficit (capacity pressure) it noted during
+the epoch.  The coordinator merges the K frames **in shard index order**
+into one :class:`GlobalFrame` and broadcasts it back; each shard keeps the
+merged fleet pressure, which QoS's shard-aware thresholds read (see
+``QosTarget.pressure_relief``).
 
 Determinism contract: frames are *pure functions of shard state* and the
 merge is a *pure function of the frames in shard order*, so the serial
 in-process driver and the one-process-per-shard driver exchange
 byte-identical data — which is why the two execution modes produce
-byte-identical merged results (pinned in tests/test_shard.py).  Nothing a
-shard absorbs from a global frame schedules simulation events or perturbs
-RNG streams; the exchange is observational plus an explicit message
-channel, both carried into the RUN_END ``stats["shard"]`` payload.
+byte-identical merged results (pinned in tests/test_shard.py).  Absorbing
+a global frame schedules no simulation event and perturbs no RNG stream.
+The frames' dict forms are the parallel driver's wire format and the
+resilience journal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
-__all__ = ["ShardFrame", "GlobalFrame", "GlobalClusterView", "ShardContext"]
+__all__ = ["ShardFrame", "GlobalFrame", "ShardContext"]
 
 
 @dataclass
@@ -32,54 +32,18 @@ class ShardFrame:
     shard: int
     epoch: int
     time: float
-    #: Events dispatched by this shard during the epoch.
-    dispatched: int
-    active_hosts: int
-    total_gpus: int
-    committed_gpus: int
-    subscribed_gpus: int
-    #: idle-GPU count -> host count (sorted keys; see
-    #: HostIndex.idle_gpu_histogram).
-    idle_gpu_histogram: Dict[int, int] = field(default_factory=dict)
-    sessions_active: int = 0
     #: GPUs of placement-failure deficit noted this epoch (see
     #: GlobalScheduler/ShardContext.note_pressure).
     pressure: int = 0
-    #: Outgoing cross-shard messages: ``[dst_shard, payload]`` pairs,
-    #: JSON-serializable payloads, send order preserved.
-    messages: List[list] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "shard": self.shard,
-            "epoch": self.epoch,
-            "time": self.time,
-            "dispatched": self.dispatched,
-            "active_hosts": self.active_hosts,
-            "total_gpus": self.total_gpus,
-            "committed_gpus": self.committed_gpus,
-            "subscribed_gpus": self.subscribed_gpus,
-            # Sorted-key list form: JSON objects would stringify int keys.
-            "idle_gpu_histogram": [[k, v] for k, v in
-                                   sorted(self.idle_gpu_histogram.items())],
-            "sessions_active": self.sessions_active,
-            "pressure": self.pressure,
-            "messages": [list(m) for m in self.messages],
-        }
+        return {"shard": self.shard, "epoch": self.epoch, "time": self.time,
+                "pressure": self.pressure}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ShardFrame":
         return cls(shard=data["shard"], epoch=data["epoch"],
-                   time=data["time"], dispatched=data["dispatched"],
-                   active_hosts=data["active_hosts"],
-                   total_gpus=data["total_gpus"],
-                   committed_gpus=data["committed_gpus"],
-                   subscribed_gpus=data["subscribed_gpus"],
-                   idle_gpu_histogram={int(k): int(v) for k, v in
-                                       data["idle_gpu_histogram"]},
-                   sessions_active=data["sessions_active"],
-                   pressure=data["pressure"],
-                   messages=[list(m) for m in data["messages"]])
+                   time=data["time"], pressure=data["pressure"])
 
 
 @dataclass
@@ -88,20 +52,8 @@ class GlobalFrame:
 
     epoch: int
     time: float
-    num_shards: int
-    dispatched: int
-    active_hosts: int
-    total_gpus: int
-    committed_gpus: int
-    subscribed_gpus: int
-    sessions_active: int
+    #: Fleet-wide GPUs of placement-failure deficit noted this epoch.
     pressure: int
-    idle_gpu_histogram: Dict[int, int] = field(default_factory=dict)
-    #: Per-shard summaries in shard index order (no messages — those are
-    #: routed into ``deliveries`` instead).
-    per_shard: List[Dict[str, object]] = field(default_factory=list)
-    #: dst shard -> delivered payloads, ordered by (src shard, send order).
-    deliveries: Dict[int, List[object]] = field(default_factory=dict)
 
     @classmethod
     def merge(cls, frames: Sequence[ShardFrame]) -> "GlobalFrame":
@@ -113,150 +65,40 @@ class GlobalFrame:
         if len(epochs) != 1 or len(times) != 1:
             raise ValueError(
                 f"barrier skew: epochs {sorted(epochs)} times {sorted(times)}")
-        histogram: Dict[int, int] = {}
-        deliveries: Dict[int, List[object]] = {}
-        per_shard = []
-        for frame in frames:
-            for idle, count in frame.idle_gpu_histogram.items():
-                histogram[idle] = histogram.get(idle, 0) + count
-            for dst, payload in frame.messages:
-                deliveries.setdefault(int(dst), []).append(payload)
-            per_shard.append({
-                "shard": frame.shard,
-                "dispatched": frame.dispatched,
-                "active_hosts": frame.active_hosts,
-                "committed_gpus": frame.committed_gpus,
-                "sessions_active": frame.sessions_active,
-                "pressure": frame.pressure,
-            })
-        return cls(
-            epoch=frames[0].epoch, time=frames[0].time,
-            num_shards=len(frames),
-            dispatched=sum(f.dispatched for f in frames),
-            active_hosts=sum(f.active_hosts for f in frames),
-            total_gpus=sum(f.total_gpus for f in frames),
-            committed_gpus=sum(f.committed_gpus for f in frames),
-            subscribed_gpus=sum(f.subscribed_gpus for f in frames),
-            sessions_active=sum(f.sessions_active for f in frames),
-            pressure=sum(f.pressure for f in frames),
-            idle_gpu_histogram={k: histogram[k] for k in sorted(histogram)},
-            per_shard=per_shard, deliveries=deliveries)
+        return cls(epoch=frames[0].epoch, time=frames[0].time,
+                   pressure=sum(f.pressure for f in frames))
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "epoch": self.epoch,
-            "time": self.time,
-            "num_shards": self.num_shards,
-            "dispatched": self.dispatched,
-            "active_hosts": self.active_hosts,
-            "total_gpus": self.total_gpus,
-            "committed_gpus": self.committed_gpus,
-            "subscribed_gpus": self.subscribed_gpus,
-            "sessions_active": self.sessions_active,
-            "pressure": self.pressure,
-            "idle_gpu_histogram": [[k, v] for k, v in
-                                   sorted(self.idle_gpu_histogram.items())],
-            "per_shard": [dict(s) for s in self.per_shard],
-            "deliveries": [[dst, list(payloads)] for dst, payloads in
-                           sorted(self.deliveries.items())],
-        }
+        return {"epoch": self.epoch, "time": self.time,
+                "pressure": self.pressure}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "GlobalFrame":
         return cls(epoch=data["epoch"], time=data["time"],
-                   num_shards=data["num_shards"],
-                   dispatched=data["dispatched"],
-                   active_hosts=data["active_hosts"],
-                   total_gpus=data["total_gpus"],
-                   committed_gpus=data["committed_gpus"],
-                   subscribed_gpus=data["subscribed_gpus"],
-                   sessions_active=data["sessions_active"],
-                   pressure=data["pressure"],
-                   idle_gpu_histogram={int(k): int(v) for k, v in
-                                       data["idle_gpu_histogram"]},
-                   per_shard=[dict(s) for s in data["per_shard"]],
-                   deliveries={int(dst): list(payloads) for dst, payloads in
-                               data["deliveries"]})
-
-
-class GlobalClusterView:
-    """A shard's (one-epoch-stale) view of the whole cluster.
-
-    Updated at every barrier from the merged :class:`GlobalFrame`; answers
-    the same aggregate questions :class:`~repro.core.global_scheduler.
-    ClusterState` answers locally, but fleet-wide.  Reads are pure — the
-    view never reaches back into any shard's simulation.
-    """
-
-    def __init__(self) -> None:
-        self.frame: Optional[GlobalFrame] = None
-
-    @property
-    def fresh(self) -> bool:
-        return self.frame is not None
-
-    @property
-    def active_hosts(self) -> int:
-        return self.frame.active_hosts if self.frame else 0
-
-    @property
-    def total_gpus(self) -> int:
-        return self.frame.total_gpus if self.frame else 0
-
-    @property
-    def committed_gpus(self) -> int:
-        return self.frame.committed_gpus if self.frame else 0
-
-    @property
-    def sessions_active(self) -> int:
-        return self.frame.sessions_active if self.frame else 0
-
-    def subscription_ratio(self, replication_factor: int) -> float:
-        """Fleet-wide SR from the latest frame (0.0 before the first)."""
-        if (self.frame is None or self.frame.total_gpus == 0
-                or replication_factor == 0):
-            return 0.0
-        return self.frame.subscribed_gpus / (
-            self.frame.total_gpus * replication_factor)
-
-    def hosts_with_idle_gpus(self, min_idle: int) -> int:
-        """Fleet-wide count of hosts with >= ``min_idle`` idle GPUs."""
-        if self.frame is None:
-            return 0
-        if min_idle <= 0:
-            return self.frame.active_hosts
-        return sum(count for idle, count in
-                   self.frame.idle_gpu_histogram.items() if idle >= min_idle)
-
-    def update(self, frame: GlobalFrame) -> None:
-        self.frame = frame
+                   pressure=data["pressure"])
 
 
 class ShardContext:
-    """One shard's barrier-side state: outbox, inbox, counters, global view.
+    """One shard's barrier-side state: counters and the fleet pressure.
 
     Attached to the platform and the global scheduler by the shard runner
     (duck-typed — the core never imports this module).  Everything here is
-    accounting: noting pressure, sending a message, or absorbing a global
-    frame never schedules simulation events, which is what keeps the
-    sharded run's per-shard event streams identical across execution modes.
+    accounting: noting pressure or absorbing a global frame never schedules
+    simulation events, which is what keeps the sharded run's per-shard
+    event streams identical across execution modes.
     """
 
     def __init__(self, shard_index: int, num_shards: int) -> None:
         self.shard_index = int(shard_index)
         self.num_shards = int(num_shards)
-        self.global_view = GlobalClusterView()
+        #: Pressure of the last merged frame (one epoch stale; 0 before the
+        #: first barrier) — what QoS reads as fleet-wide pressure.
+        self.fleet_pressure = 0
         self.epochs = 0
         self.barrier_stall_s = 0.0
         self.dispatched_per_epoch: List[int] = []
         self.pressure_events = 0
         self.pressure_gpus = 0
-        self.messages_sent = 0
-        self.messages_received = 0
-        #: Messages received from other shards, in delivery order; consumers
-        #: (policies, tests) drain it via :meth:`drain_inbox`.
-        self.inbox: List[object] = []
-        self._outbox: List[list] = []
         self._pressure_gpus_last = 0
 
     # -- producer side (called from inside the shard's simulation) -------
@@ -265,46 +107,20 @@ class ShardContext:
         self.pressure_events += 1
         self.pressure_gpus += int(gpu_deficit)
 
-    def send(self, dst_shard: int, payload: object) -> None:
-        """Queue a message for ``dst_shard``; delivered at the next barrier."""
-        if not 0 <= dst_shard < self.num_shards:
-            raise ValueError(f"dst_shard {dst_shard} out of range "
-                             f"[0, {self.num_shards})")
-        self.messages_sent += 1
-        self._outbox.append([int(dst_shard), payload])
-
     # -- barrier side (called by the shard runner) -----------------------
-    def make_frame(self, epoch: int, time: float, dispatched: int,
-                   aggregate: Dict[str, int],
-                   idle_gpu_histogram: Dict[int, int],
-                   sessions_active: int) -> ShardFrame:
-        """Snapshot this epoch into a frame; drains the outbox."""
+    def make_frame(self, epoch: int, time: float,
+                   dispatched: int) -> ShardFrame:
+        """Snapshot this epoch into a frame carrying its pressure delta."""
         self.epochs += 1
         self.dispatched_per_epoch.append(int(dispatched))
         pressure = self.pressure_gpus - self._pressure_gpus_last
         self._pressure_gpus_last = self.pressure_gpus
-        messages, self._outbox = self._outbox, []
-        return ShardFrame(
-            shard=self.shard_index, epoch=epoch, time=time,
-            dispatched=int(dispatched),
-            active_hosts=aggregate["active_hosts"],
-            total_gpus=aggregate["total_gpus"],
-            committed_gpus=aggregate["committed_gpus"],
-            subscribed_gpus=aggregate["subscribed_gpus"],
-            idle_gpu_histogram=dict(idle_gpu_histogram),
-            sessions_active=int(sessions_active),
-            pressure=pressure, messages=messages)
+        return ShardFrame(shard=self.shard_index, epoch=epoch, time=time,
+                          pressure=pressure)
 
     def absorb_global(self, frame: GlobalFrame) -> None:
-        """Fold one merged frame into the view; collect own deliveries."""
-        self.global_view.update(frame)
-        delivered = frame.deliveries.get(self.shard_index, ())
-        self.messages_received += len(delivered)
-        self.inbox.extend(delivered)
-
-    def drain_inbox(self) -> List[object]:
-        drained, self.inbox = self.inbox, []
-        return drained
+        """Keep one merged frame's fleet pressure."""
+        self.fleet_pressure = frame.pressure
 
     def record_stall(self, seconds: float) -> None:
         """Account wall-clock time spent waiting at a barrier."""
@@ -321,6 +137,4 @@ class ShardContext:
             "dispatched_per_epoch": list(self.dispatched_per_epoch),
             "pressure_events": self.pressure_events,
             "pressure_gpus": self.pressure_gpus,
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
         }

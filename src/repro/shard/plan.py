@@ -35,8 +35,8 @@ __all__ = ["ShardPlan", "default_epoch_s", "partition_sessions",
            "shard_traces", "MIN_EPOCH_S", "MAX_EPOCH_S", "MAX_BARRIERS"]
 
 #: Epoch bounds: barriers are pure synchronization overhead below a minute
-#: of simulated time, and above half an hour the frames get too stale to be
-#: a useful global view.
+#: of simulated time, and above half an hour the fleet pressure they carry
+#: gets too stale for QoS to act on.
 MIN_EPOCH_S = 60.0
 MAX_EPOCH_S = 1800.0
 

@@ -10,9 +10,11 @@ For K > 1 the run proceeds in lockstep epochs over the *global* horizon:
 1. each shard builds its own full platform from the spec, against its
    sub-trace (configs resolve per sub-trace, so the fleet divides ~K ways);
 2. every epoch, each shard steps its calendar queue to the barrier time,
-   snapshots a :class:`~repro.shard.barrier.ShardFrame`, and blocks;
-3. the coordinator merges the K frames (shard order) into a
-   :class:`~repro.shard.barrier.GlobalFrame` and broadcasts it back;
+   reports the capacity pressure it noted in a
+   :class:`~repro.shard.barrier.ShardFrame`, and blocks;
+3. the coordinator sums the K frames' pressure (shard order) into a
+   :class:`~repro.shard.barrier.GlobalFrame` and broadcasts it back, and
+   each shard keeps that fleet pressure for its QoS controller;
 4. after the last barrier each shard drains its session tail
    independently (no further barriers — the tail is cross-shard-free),
    finishes its workload, and ships its result;
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.spec import RunSpec
 from repro.metrics.collector import ExperimentResult
 from repro.profiling.memory import memory_stats
-from repro.shard.barrier import GlobalFrame, ShardContext
+from repro.shard.barrier import GlobalFrame, ShardContext, ShardFrame
 from repro.shard.merge import merge_results
 from repro.shard.plan import ShardPlan, shard_traces
 
@@ -162,13 +164,8 @@ class ShardRuntime:
 
     def step_epoch(self, epoch: int, time: float) -> ShardFrame:
         """Advance to the barrier at ``time`` and snapshot a frame."""
-        platform = self.platform
-        dispatched = platform.step_workload_until(time)
         return self.context.make_frame(
-            epoch, time, dispatched,
-            platform.cluster.aggregate(),
-            platform.cluster.index.idle_gpu_histogram(),
-            platform.active_session_count)
+            epoch, time, self.platform.step_workload_until(time))
 
     def absorb(self, frame: GlobalFrame) -> None:
         self.context.absorb_global(frame)

@@ -2,10 +2,9 @@
 
 This package provides the simulation kernel on which every other part of the
 NotebookOS reproduction runs: a generator-based discrete-event engine
-(:mod:`repro.simulation.engine`), waitable events and queues
-(:mod:`repro.simulation.events`, :mod:`repro.simulation.queues`), a
-latency-modelled message-passing network (:mod:`repro.simulation.network`),
-and seeded random distributions (:mod:`repro.simulation.distributions`).
+(:mod:`repro.simulation.engine`), waitable events
+(:mod:`repro.simulation.events`), and seeded random distributions
+(:mod:`repro.simulation.distributions`).
 
 The engine is deliberately SimPy-like: simulation *processes* are Python
 generators that ``yield`` waitable objects (timeouts, events, other
@@ -14,13 +13,11 @@ sessions — are implemented as such processes, which lets multi-day
 workloads execute in seconds of wall-clock time while exercising the same
 control-plane logic a real deployment would.  Control-plane hops (Jupyter
 Server, Global/Local Scheduler, Raft commits) are modelled as latencies,
-not as messages: no replay builds a :class:`Network`.
+not as messages.
 """
 
 from repro.simulation.engine import Environment, Process, SimulationError
 from repro.simulation.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.simulation.queues import PriorityStore, Resource, Store
-from repro.simulation.network import Link, Message, Network, NetworkAddress
 from repro.simulation.distributions import (
     BoundedParetoSampler,
     EmpiricalSampler,
@@ -28,7 +25,6 @@ from repro.simulation.distributions import (
     LogNormalSampler,
     PiecewiseCDFSampler,
     SeededRandom,
-    constant,
 )
 
 __all__ = [
@@ -40,18 +36,10 @@ __all__ = [
     "Event",
     "ExponentialSampler",
     "Interrupt",
-    "Link",
     "LogNormalSampler",
-    "Message",
-    "Network",
-    "NetworkAddress",
     "PiecewiseCDFSampler",
-    "PriorityStore",
     "Process",
-    "Resource",
     "SeededRandom",
     "SimulationError",
-    "Store",
     "Timeout",
-    "constant",
 ]

@@ -174,13 +174,3 @@ class EmpiricalSampler:
 
     def sample(self) -> float:
         return self._rng.choice(self.values)
-
-
-def constant(value: float):
-    """Return a zero-argument callable that always yields ``value``.
-
-    Useful as a latency function for deterministic links.
-    """
-    def _sample() -> float:
-        return value
-    return _sample

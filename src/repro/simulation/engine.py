@@ -616,10 +616,9 @@ class Environment:
 
             ``fn`` is invoked with one throwaway argument (the internal queue
             stub) after ``delay`` seconds, ordered exactly as an event
-            scheduled at the same moment would be.  Internal plumbing (e.g.
-            network message delivery) uses this instead of
-            ``timeout(delay).add_callback(fn)``; nothing can wait on a
-            deferred call.
+            scheduled at the same moment would be.  It is the
+            allocation-light form of ``timeout(delay).add_callback(fn)``;
+            nothing can wait on a deferred call.
             """
             if not delay >= 0:  # NaN fails too
                 raise SimulationError(

@@ -59,6 +59,15 @@ RUN_BREAKING_VALUES = [
     (PlatformConfig, "autoscaler_multiplier", NAN),
     (PlatformConfig, "jupyter_processing_s", NAN),
     (PlatformConfig, "network_hop_s", -1),
+    (PlatformConfig, "subscription_high_watermark", -1),
+    (PlatformConfig, "subscription_high_watermark", 0),
+    (PlatformConfig, "subscription_high_watermark", NAN),
+    (PlatformConfig, "subscription_ratio_limit", NAN),
+    (PlatformConfig, "subscription_ratio_limit", -1),
+    (PlatformConfig, "subscription_ratio_limit", 0),
+    (PlatformConfig, "scaling_buffer_hosts", -5),
+    (PlatformConfig, "max_scale_in_per_round", -3),
+    (PlatformConfig, "migration_max_retries", -1),
     (ClusterConfig, "vm_boot_time_mean_s", 0),
     (ClusterConfig, "vm_boot_time_mean_s", -5),
     (ClusterConfig, "vm_boot_time_mean_s", NAN),
@@ -70,7 +79,8 @@ RUN_BREAKING_VALUES = [
                               for _, field, value in RUN_BREAKING_VALUES])
 def test_config_rejects_run_breaking_values(config_class, field, value):
     # Each value would hang the run, crash it from inside the engine or the
-    # VM provisioner, or be kept silently, so validation must reject it.
+    # VM provisioner, or be accepted and silently change it, so validation
+    # must reject it.
     with pytest.raises(ValueError, match=field):
         config_class(**{field: value}).validate()
 
@@ -451,3 +461,48 @@ def test_kernel_namespace_objects_include_model_as_large_object():
     assert model_obj.object_class == ObjectClass.LARGE
     small = [obj for obj in objects if obj.object_class == ObjectClass.SMALL]
     assert small
+
+
+# ----------------------------------------------------------------------
+# Fused kernel start and shutdown chains.
+# ----------------------------------------------------------------------
+
+def make_platform(hosts=3):
+    from repro.core import NotebookOSPlatform
+    from repro.policies import NotebookOSPolicy
+
+    return NotebookOSPlatform(
+        NotebookOSPolicy(),
+        cluster_config=ClusterConfig(initial_hosts=hosts, max_hosts=hosts))
+
+
+def run_process(platform, generator):
+    return platform.env.run(until=platform.env.process(generator))
+
+
+def test_kernel_start_rejects_mixed_processing_delays():
+    # The fused chain sleeps one shared processing delay for all replicas,
+    # so Local Schedulers that disagree on it must be refused, not mistimed.
+    platform = make_platform()
+    host = platform.cluster.active_hosts[1]
+    platform.cluster.scheduler_for(host.host_id).processing_delay = 0.005
+    with pytest.raises(ValueError,
+                       match=r"processing delay, got \[0.002, 0.005\]"):
+        run_process(platform, platform.global_scheduler.start_kernel(
+            "s1", ResourceRequest(gpus=1)))
+
+
+def test_kernel_shutdown_rejects_mixed_termination_times():
+    import dataclasses
+
+    platform = make_platform()
+    kernel = run_process(platform, platform.global_scheduler.start_kernel(
+        "s1", ResourceRequest(gpus=1)))
+    assert len(kernel.active_replicas) == 3
+    runtime = platform.cluster.scheduler_for(kernel.host_ids[0]).runtime
+    runtime.latency_model = dataclasses.replace(runtime.latency_model,
+                                                termination_time=2.0)
+    with pytest.raises(ValueError,
+                       match=r"termination time, got \[0.5, 2.0\]"):
+        run_process(platform,
+                    platform.global_scheduler.shutdown_kernel(kernel))

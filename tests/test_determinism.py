@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunSpec, Simulation, default_policy_registry
+from repro.api import RUN_END, RunSpec, Simulation, default_policy_registry
 from repro.cluster.container import ContainerRuntime
 from repro.cluster.provisioner import VMProvisioner
 from repro.cluster.resources import ResourceRequest
@@ -31,7 +31,10 @@ from repro.experiments import default_registry
 from repro.experiments.runner import _execute_spec
 from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult, MetricsCollector
+from repro.qos.targets import QosConfig
+from repro.shard import ShardPlan, run_sharded
 from repro.simulation import AllOf, AnyOf, Environment, Interrupt, SeededRandom
+from repro.statesync.ast_analysis import clear_ast_cache
 from repro.workload import AdobeTraceGenerator
 
 
@@ -224,6 +227,69 @@ def test_replay_twice_in_one_process_is_bit_identical(policy, monkeypatch):
     assert again[0] == digest, "collector digests differ"
     assert again[1] == tasks, "per-task placements or timings differ"
     assert again[2] == election_log, "election outcomes differ"
+
+
+# ----------------------------------------------------------------------
+# perfbench's three workload shapes replay identically in one process.
+# ----------------------------------------------------------------------
+STORM_QOS = "interactivity:p99>60:autoscaler_override,extra_hosts=2,hold_s=900"
+
+
+def _replay_stepped(spec):
+    """One platform driven the way perfbench drives it: 64 epochs."""
+    stats = []
+    simulation = Simulation.from_spec(spec)
+    trace = build_trace(simulation.spec)
+    platform = simulation.build(trace)
+    platform.hooks.subscribe(RUN_END, lambda _p, _r, run_stats:
+                             stats.append(run_stats))
+    platform.begin_workload(trace)
+    try:
+        for epoch in range(64):
+            platform.step_workload_until(trace.duration * (epoch + 1) / 64)
+        platform.drain_workload()
+        result = platform.finish_workload()
+    finally:
+        platform.detach_metrics()
+    (run_stats,) = stats
+    # The RUN_END stats perfbench's per-layer table reads.
+    return _digest(result), (run_stats["dispatch"]["dispatched"],
+                             run_stats["dispatch"]["batches"],
+                             run_stats["ast_cache_hits"],
+                             run_stats["ast_cache_misses"])
+
+
+def _replay_storm_shards(spec):
+    """The K=2 serial-driver storm with a p99 QoS target."""
+    sharded = run_sharded(spec, 2, parallel=False)
+    shards = [payload["shard"] for payload in sharded.shard_payloads]
+    epochs = ShardPlan.from_trace(build_trace(spec), 2).num_epochs
+    assert [len(s["dispatched_per_epoch"]) for s in shards] == [epochs] * 2
+    # The shards must note pressure, or the barrier frames carry nothing.
+    assert sum(s["pressure_events"] for s in shards) > 0
+    return _digest(sharded.result), [
+        (s["dispatched_per_epoch"], s["pressure_gpus"]) for s in shards]
+
+
+@pytest.mark.parametrize("case", ["smoke-notebookos", "smoke-batch",
+                                  "failure_storm-shards"])
+def test_perfbench_workload_shapes_replay_identically_in_one_process(case):
+    """perfbench replays each workload several times in one process and
+    counts every task of a repetition whose digest disagrees as failed.
+    Each of its three shapes, at test size, must repeat exactly."""
+    if case == "failure_storm-shards":
+        qos = QosConfig.from_specs([STORM_QOS], window_s=300.0).to_dict()
+        spec = RunSpec.from_scenario("failure_storm", policy="notebookos",
+                                     qos=qos)
+        replay = _replay_storm_shards
+    else:
+        spec = RunSpec.from_scenario("smoke", policy=case.split("-")[1])
+        replay = _replay_stepped
+    runs = []
+    for _ in range(2):
+        clear_ast_cache()  # as cold as a fresh process, like perfbench
+        runs.append(replay(spec))
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------

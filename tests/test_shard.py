@@ -197,34 +197,22 @@ def test_default_epoch_never_needs_more_than_the_cap(horizon):
 
 
 # ----------------------------------------------------------------------
-# Frame merge and the mailbox.
+# Frame merge and the shard context.
 # ----------------------------------------------------------------------
-def _frame(shard, epoch=0, time=60.0, **overrides):
-    frame = ShardFrame(shard=shard, epoch=epoch, time=time, dispatched=10,
-                       active_hosts=5, total_gpus=40, committed_gpus=8,
-                       subscribed_gpus=16, idle_gpu_histogram={8: 3, 4: 2},
-                       sessions_active=4)
-    for key, value in overrides.items():
-        setattr(frame, key, value)
-    return frame
+def _frame(shard, epoch=0, time=60.0, pressure=0):
+    return ShardFrame(shard=shard, epoch=epoch, time=time, pressure=pressure)
 
 
-def test_global_frame_merges_aggregates_and_routes_messages():
-    frames = [
-        _frame(0, messages=[(1, {"kind": "hint"})]),
-        _frame(1, idle_gpu_histogram={8: 1}, messages=[(0, {"kind": "ack"}),
-                                                       (1, {"kind": "self"})]),
-    ]
+def test_global_frame_sums_pressure_in_shard_order():
+    frames = [_frame(0, pressure=3), _frame(1), _frame(2, pressure=5)]
     merged = GlobalFrame.merge(frames)
-    assert merged.active_hosts == 10
-    assert merged.total_gpus == 80
-    assert merged.committed_gpus == 16
-    assert merged.idle_gpu_histogram == {8: 4, 4: 2}
-    assert merged.sessions_active == 8
-    assert merged.deliveries[1] == [{"kind": "hint"}, {"kind": "self"}]
-    assert merged.deliveries[0] == [{"kind": "ack"}]
-    # Round-trips through the wire format used by the parallel driver.
-    assert GlobalFrame.from_dict(merged.to_dict()).to_dict() == merged.to_dict()
+    assert (merged.epoch, merged.time, merged.pressure) == (0, 60.0, 8)
+    # Both frame types round-trip through the wire format used by the
+    # parallel driver and the resilience journal.
+    for frame in frames + [merged]:
+        data = frame.to_dict()
+        assert type(frame).from_dict(data) == frame
+        assert json.loads(json.dumps(data)) == data
 
 
 def test_global_frame_merge_rejects_barrier_skew():
@@ -232,32 +220,29 @@ def test_global_frame_merge_rejects_barrier_skew():
         GlobalFrame.merge([_frame(0, epoch=1), _frame(1, epoch=2)])
 
 
-def test_shard_context_mailbox_and_stats():
-    context = ShardContext(0, 2)
-    context.send(1, {"kind": "hint"})
-    with pytest.raises(ValueError):
-        context.send(7, {"kind": "lost"})
-    frame = context.make_frame(0, 60.0, dispatched=5,
-                               aggregate={"active_hosts": 1, "total_gpus": 8,
-                                          "committed_gpus": 0,
-                                          "subscribed_gpus": 0},
-                               idle_gpu_histogram={8: 1}, sessions_active=1)
-    assert frame.messages == [[1, {"kind": "hint"}]]
-
-    other = ShardContext(1, 2)
-    peer = other.make_frame(0, 60.0, dispatched=3,
-                            aggregate={"active_hosts": 1, "total_gpus": 8,
-                                       "committed_gpus": 0,
-                                       "subscribed_gpus": 0},
-                            idle_gpu_histogram={8: 1}, sessions_active=1)
-    merged = GlobalFrame.merge([frame, peer])
-    other.absorb_global(merged)
-    assert other.drain_inbox() == [{"kind": "hint"}]
-    assert other.drain_inbox() == []
-    stats = other.stats_payload()
-    assert stats["epochs"] == 1
-    assert stats["messages_received"] == 1
-    assert stats["dispatched_per_epoch"] == [3]
+def test_shard_context_frames_pressure_deltas_and_stats():
+    context, peer = ShardContext(0, 2), ShardContext(1, 2)
+    assert context.fleet_pressure == 0  # before the first barrier
+    context.note_pressure(2)
+    context.note_pressure(1)
+    first = GlobalFrame.merge([context.make_frame(0, 60.0, dispatched=5),
+                               peer.make_frame(0, 60.0, dispatched=3)])
+    assert first.pressure == 3
+    for shard in (context, peer):
+        shard.absorb_global(first)
+        assert shard.fleet_pressure == 3
+    # Each frame carries only its own epoch's pressure delta.
+    peer.note_pressure(4)
+    frames = [context.make_frame(1, 120.0, dispatched=7),
+              peer.make_frame(1, 120.0, dispatched=0)]
+    assert [frame.pressure for frame in frames] == [0, 4]
+    context.absorb_global(GlobalFrame.merge(frames))
+    assert context.fleet_pressure == 4
+    context.record_stall(0.25)
+    assert context.stats_payload() == {
+        "index": 0, "num_shards": 2, "epochs": 2, "barrier_stall_s": 0.25,
+        "dispatched_per_epoch": [5, 7], "pressure_events": 2,
+        "pressure_gpus": 3}
 
 
 # ----------------------------------------------------------------------

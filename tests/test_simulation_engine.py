@@ -8,9 +8,6 @@ from repro.simulation import (
     Environment,
     Interrupt,
     SimulationError,
-    Store,
-    PriorityStore,
-    Resource,
 )
 
 
@@ -303,105 +300,6 @@ def test_anyof_returns_on_first_event():
 
     process = env.process(proc())
     assert env.run(until=process) == 1.5
-
-
-def test_store_fifo_ordering():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for i in range(3):
-            yield env.timeout(1.0)
-            store.put(i)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            received.append((item, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == [(0, 1.0), (1, 2.0), (2, 3.0)]
-
-
-def test_store_get_before_put_blocks():
-    env = Environment()
-    store = Store(env)
-
-    def consumer():
-        item = yield store.get()
-        return (item, env.now)
-
-    def producer():
-        yield env.timeout(7.0)
-        store.put("late")
-
-    consumer_proc = env.process(consumer())
-    env.process(producer())
-    assert env.run(until=consumer_proc) == ("late", 7.0)
-
-
-def test_priority_store_orders_by_priority():
-    env = Environment()
-    store = PriorityStore(env)
-    store.put("low", priority=10)
-    store.put("high", priority=1)
-    store.put("mid", priority=5)
-
-    def consumer():
-        items = []
-        for _ in range(3):
-            items.append((yield store.get()))
-        return items
-
-    process = env.process(consumer())
-    assert env.run(until=process) == ["high", "mid", "low"]
-
-
-def test_resource_limits_concurrency():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-    concurrency = []
-
-    def worker():
-        yield resource.request()
-        concurrency.append(resource.in_use)
-        yield env.timeout(1.0)
-        resource.release()
-
-    for _ in range(5):
-        env.process(worker())
-    env.run()
-    assert max(concurrency) <= 2
-    assert resource.in_use == 0
-
-
-def test_resource_release_without_request_raises():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    with pytest.raises(RuntimeError):
-        resource.release()
-
-
-def test_resource_resize_grants_waiters():
-    env = Environment()
-    resource = Resource(env, capacity=0)
-    granted = []
-
-    def worker():
-        yield resource.request()
-        granted.append(env.now)
-
-    def grower():
-        yield env.timeout(4.0)
-        resource.resize(1)
-
-    env.process(worker())
-    env.process(grower())
-    env.run()
-    assert granted == [4.0]
 
 
 def test_interrupt_while_waiting_ignores_stale_wakeup():

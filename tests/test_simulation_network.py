@@ -1,4 +1,9 @@
-"""Unit tests for the latency-modelled network and random distributions."""
+"""Unit tests for the seeded random distributions.
+
+The file keeps its historical name: it once also tested a message-passing
+network model, which the simulator no longer has (control-plane hops are
+latencies, see ``repro.simulation``).
+"""
 
 import math
 
@@ -7,149 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import (
-    Environment,
-    Link,
-    Network,
-    SeededRandom,
-    LogNormalSampler,
-    ExponentialSampler,
     BoundedParetoSampler,
-    PiecewiseCDFSampler,
     EmpiricalSampler,
-    constant,
+    ExponentialSampler,
+    LogNormalSampler,
+    PiecewiseCDFSampler,
+    SeededRandom,
 )
 
-
-def make_network(default_latency=0.001):
-    env = Environment()
-    return env, Network(env, default_latency=default_latency)
-
-
-def test_send_delivers_after_default_latency():
-    env, network = make_network(default_latency=0.25)
-    network.register("a")
-    inbox_b = network.register("b")
-    received = []
-
-    def receiver():
-        message = yield inbox_b.get()
-        received.append((message.payload, env.now, message.latency))
-
-    env.process(receiver())
-    network.send("a", "b", "ping", payload={"n": 1})
-    env.run()
-    assert received == [({"n": 1}, 0.25, 0.25)]
-
-
-def test_explicit_link_latency_and_bandwidth():
-    env, network = make_network()
-    network.register("a")
-    inbox = network.register("b")
-    network.set_link("a", "b", Link(latency_fn=constant(0.1),
-                                    bandwidth_bytes_per_sec=1000.0))
-    arrival = []
-
-    def receiver():
-        yield inbox.get()
-        arrival.append(env.now)
-
-    env.process(receiver())
-    network.send("a", "b", "data", payload=b"", size_bytes=500)
-    env.run()
-    # 0.1 s propagation + 500 / 1000 s transmission.
-    assert arrival == [pytest.approx(0.6)]
-
-
-def test_partition_drops_messages():
-    env, network = make_network()
-    network.register("a")
-    inbox = network.register("b")
-    network.partition("a", "b")
-    network.send("a", "b", "ping")
-    env.run()
-    assert len(inbox) == 0
-    assert network.messages_dropped == 1
-
-
-def test_heal_restores_delivery():
-    env, network = make_network()
-    network.register("a")
-    inbox = network.register("b")
-    network.partition("a", "b")
-    network.heal("a", "b")
-    network.send("a", "b", "ping")
-    env.run()
-    assert len(inbox) == 1
-
-
-def test_isolate_and_rejoin():
-    env, network = make_network()
-    for name in ("a", "b", "c"):
-        network.register(name)
-    network.isolate("a")
-    network.send("a", "b", "x")
-    network.send("c", "a", "y")
-    env.run()
-    assert network.messages_dropped == 2
-    network.rejoin("a")
-    network.send("a", "b", "x2")
-    env.run()
-    assert len(network.inbox("b")) == 1
-
-
-def test_send_to_unregistered_destination_is_dropped():
-    env, network = make_network()
-    network.register("a")
-    network.send("a", "ghost", "ping")
-    env.run()
-    assert network.messages_dropped == 1
-
-
-def test_inbox_for_unknown_endpoint_raises():
-    _env, network = make_network()
-    with pytest.raises(KeyError):
-        network.inbox("nobody")
-
-
-def test_lossy_link_drops_with_probability_one():
-    env = Environment()
-    network = Network(env, rng=SeededRandom(7))
-    network.register("a")
-    inbox = network.register("b")
-    network.set_link("a", "b", Link(latency_fn=constant(0.01), drop_probability=1.0))
-    for _ in range(5):
-        network.send("a", "b", "ping")
-    env.run()
-    assert len(inbox) == 0
-    assert network.messages_dropped == 5
-
-
-def test_rpc_reply_event():
-    env, network = make_network(default_latency=0.05)
-    network.register("client")
-    server_inbox = network.register("server")
-
-    def server():
-        message = yield server_inbox.get()
-        reply_to = message.payload["reply_to"]
-        yield env.timeout(0.1)
-        reply_to.succeed({"status": "ok"})
-
-    def client():
-        reply = network.rpc("client", "server", "start", payload={"id": 1})
-        response = yield reply
-        return response, env.now
-
-    env.process(server())
-    client_proc = env.process(client())
-    response, finished_at = env.run(until=client_proc)
-    assert response == {"status": "ok"}
-    assert finished_at == pytest.approx(0.15)
-
-
-# ----------------------------------------------------------------------
-# Distribution samplers.
-# ----------------------------------------------------------------------
 
 def test_seeded_random_substreams_are_independent_and_deterministic():
     rng = SeededRandom(42)
