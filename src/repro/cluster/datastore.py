@@ -11,6 +11,7 @@ this model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -29,8 +30,6 @@ class DataStoreBackend:
     read_bandwidth_bytes_per_s: float
 
     def request_latency(self, rng: SeededRandom) -> float:
-        import math
-
         return max(self.base_latency_s * 0.25,
                    rng.lognormvariate(math.log(self.base_latency_s), self.latency_sigma))
 
@@ -107,18 +106,33 @@ class DistributedDataStore:
     def write(self, key: str, size_bytes: int, owner: str, node_id: Optional[str] = None):
         """Simulation process: persist an object; returns an :class:`ObjectPointer`."""
         start = self.env.now
-        latency = self.backend.request_latency(self._rng)
-        latency += size_bytes / self.backend.write_bandwidth_bytes_per_s
-        yield latency
+        yield self.begin_write(size_bytes)
+        return self.finish_write(key, size_bytes, owner, start, node_id)
+
+    def begin_write(self, size_bytes: int) -> float:
+        """First half of :meth:`write`: draws and returns the latency.
+
+        A caller that sleeps this latency itself and then calls
+        :meth:`finish_write` writes exactly as :meth:`write` does, without
+        a generator of its own.
+        """
+        backend = self.backend
+        latency = backend.request_latency(self._rng)
+        return latency + size_bytes / backend.write_bandwidth_bytes_per_s
+
+    def finish_write(self, key: str, size_bytes: int, owner: str,
+                     start: float, node_id: Optional[str] = None
+                     ) -> ObjectPointer:
+        """Second half of :meth:`write`, once the latency has elapsed:
+        records a write begun at ``start``; returns its pointer."""
+        now = self.env.now
         existing = self._objects.get(key)
         version = existing.version + 1 if existing else 1
-        stored = StoredObject(key=key, size_bytes=size_bytes, owner=owner,
-                              written_at=self.env.now,
-                              object_id=self.env.next_serial("stored-object"),
-                              version=version)
-        self._objects[key] = stored
+        self._objects[key] = StoredObject(
+            key=key, size_bytes=size_bytes, owner=owner, written_at=now,
+            object_id=self.env.next_serial("stored-object"), version=version)
         self.bytes_written += size_bytes
-        self.write_latencies.append(self.env.now - start)
+        self.write_latencies.append(now - start)
         if node_id is not None:
             self._cache_put(node_id, key, size_bytes)
         return ObjectPointer(key=key, size_bytes=size_bytes, version=version,

@@ -30,7 +30,7 @@ class GPUDevice:
         return self.allocated_to is not None
 
     def allocate(self, owner: str, now: float) -> None:
-        if self.is_allocated:
+        if self.allocated_to is not None:
             raise RuntimeError(
                 f"GPU {self.host_id}/{self.device_id} already allocated to "
                 f"{self.allocated_to}")
@@ -40,7 +40,7 @@ class GPUDevice:
 
     def release(self, now: float) -> float:
         """Release the device; returns the busy interval just ended."""
-        if not self.is_allocated:
+        if self.allocated_to is None:
             raise RuntimeError(
                 f"GPU {self.host_id}/{self.device_id} is not allocated")
         started = self.busy_since if self.busy_since is not None else now
@@ -84,19 +84,29 @@ class GPUAllocator:
     def idle_count(self) -> int:
         return self.num_gpus - self.allocated_count
 
-    def idle_devices(self) -> List[GPUDevice]:
-        return [device for device in self.devices if not device.is_allocated]
-
     def can_allocate(self, count: int) -> bool:
         return count <= self.idle_count
 
     def allocate(self, owner: str, count: int, now: float) -> List[int]:
-        """Allocate ``count`` idle GPUs to ``owner``; returns device IDs."""
-        idle = self.idle_devices()
-        if count > len(idle):
-            raise RuntimeError(
-                f"host {self.host_id} has {len(idle)} idle GPUs, requested {count}")
-        chosen = idle[:count]
+        """Allocate ``count`` idle GPUs to ``owner``, lowest device ids
+        first; returns their IDs.  Raises before touching any device when
+        ``count`` is negative or exceeds the idle devices."""
+        if count < 0:
+            raise ValueError(
+                f"host {self.host_id}: cannot allocate a negative GPU "
+                f"count ({count})")
+        chosen: List[GPUDevice] = []
+        if count:
+            # Walk only as far as the count-th idle device.
+            for device in self.devices:
+                if device.allocated_to is None:
+                    chosen.append(device)
+                    if len(chosen) == count:
+                        break
+            else:
+                raise RuntimeError(
+                    f"host {self.host_id} has {len(chosen)} idle GPUs, "
+                    f"requested {count}")
         for device in chosen:
             device.allocate(owner, now)
         if chosen:

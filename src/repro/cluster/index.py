@@ -1,6 +1,6 @@
 """Incrementally maintained host orderings for O(log n) placement queries.
 
-:class:`HostIndex` keeps three views of the *active* hosts of a cluster, all
+:class:`HostIndex` keeps two views of the *active* hosts of a cluster, both
 updated through the same ``Host -> ClusterState`` delta hooks that already
 feed the O(1) cluster aggregates:
 
@@ -10,10 +10,6 @@ feed the O(1) cluster aggregates:
   order ``sorted(active_hosts, key=rank)`` would produce — placement queries
   that walk this list in order and stop after ``k`` viable hosts select the
   *same hosts* as a full sort, bit for bit;
-* **idle order** — hosts with no actively training replica (``Host.is_idle``),
-  kept in cluster-insertion order.  This reproduces the order of the previous
-  ``[h for h in cluster.hosts.values() if h.is_active and h.is_idle]`` scan
-  (dicts preserve insertion order), which scale-in depends on;
 * **idle-GPU buckets** — for every idle-GPU count, the sorted host ids of
   the active hosts with exactly that count.  "Does any host have >= g idle
   GPUs?" is answerable without touching the host list at all (migration
@@ -30,10 +26,8 @@ cost of the O(n log n) Python-key sorts the index replaces.
 
 ``reindex`` — the hottest mutation (every committed/subscribed GPU delta
 lands here) — short-circuits the *zero-delta* case: when the new rank key
-equals the old and the idle flag did not flip, it returns after one key
-compare and one set-membership check, touching no list and running no
-bisect.  Idle-view membership is tracked in a set so the per-reindex flip
-check is O(1); the serial list is bisected only on an actual flip.
+equals the old, it returns after one key compare, touching no list and
+running no bisect.
 """
 
 from __future__ import annotations
@@ -47,17 +41,19 @@ RankKey = Tuple[int, int, int, str]
 
 
 def rank_key(host: Host) -> RankKey:
-    """The least-loaded placement rank key (see LeastLoadedPlacement._rank)."""
-    return (host.committed_training_gpus, -host.idle_gpus,
-            host.subscribed_gpus, host.host_id)
+    """The least-loaded placement rank key (see LeastLoadedPlacement._rank).
+
+    Reads the host's running totals directly: the same integers as
+    ``committed_training_gpus``, ``-idle_gpus`` and ``subscribed_gpus``.
+    """
+    return (host._committed_total, host._allocated_gpus - host.spec.num_gpus,
+            host._subscribed_total, host.host_id)
 
 
 class HostIndex:
-    """Rank-ordered, idle-ordered, and idle-GPU-bucketed views of a cluster."""
+    """Rank-ordered and idle-GPU-bucketed views of a cluster."""
 
-    __slots__ = ("_rank_keys", "_rank_hosts", "_entry_keys",
-                 "_idle_serials", "_idle_hosts", "_idle_serial_of",
-                 "_idle_ids", "_next_serial", "_idle_buckets",
+    __slots__ = ("_rank_keys", "_rank_hosts", "_entry_keys", "_idle_buckets",
                  "_hosts_by_id", "version")
 
     def __init__(self) -> None:
@@ -74,13 +70,6 @@ class HostIndex:
         self._rank_keys: List[RankKey] = []
         self._rank_hosts: List[Host] = []
         self._entry_keys: Dict[str, RankKey] = {}
-        # Parallel lists of is_idle hosts sorted by cluster-insertion serial,
-        # plus a membership set so the per-reindex flip check is O(1).
-        self._idle_serials: List[int] = []
-        self._idle_hosts: List[Host] = []
-        self._idle_serial_of: Dict[str, int] = {}
-        self._idle_ids: set = set()
-        self._next_serial = 0
         # idle-GPU count -> sorted host ids with exactly that count.
         self._idle_buckets: Dict[int, List[str]] = {}
         self._hosts_by_id: Dict[str, Host] = {}
@@ -106,14 +95,6 @@ class HostIndex:
         position = bisect_left(self._rank_keys, key)
         self._rank_keys.insert(position, key)
         self._rank_hosts.insert(position, host)
-        serial = self._next_serial
-        self._next_serial = serial + 1
-        self._idle_serial_of[host_id] = serial
-        if host.is_idle:
-            # New hosts carry the largest serial so far: append, stays sorted.
-            self._idle_serials.append(serial)
-            self._idle_hosts.append(host)
-            self._idle_ids.add(host_id)
         self._hosts_by_id[host_id] = host
         bucket = self._idle_buckets.setdefault(host.idle_gpus, [])
         insort(bucket, host_id)
@@ -128,27 +109,20 @@ class HostIndex:
         position = bisect_left(self._rank_keys, key)
         del self._rank_keys[position]
         del self._rank_hosts[position]
-        serial = self._idle_serial_of.pop(host_id)
-        if host_id in self._idle_ids:
-            self._idle_ids.discard(host_id)
-            idle_position = bisect_left(self._idle_serials, serial)
-            del self._idle_serials[idle_position]
-            del self._idle_hosts[idle_position]
         del self._hosts_by_id[host_id]
         self._bucket_remove(-key[1], host_id)
 
     def reindex(self, host: Host) -> None:
         """Re-file a host whose counters changed (no-op if not indexed).
 
-        A *zero-delta* reindex — same rank key, same idle flag — is O(1):
-        one key compare plus a set-membership check, no bisect, no list
-        touched (the version still bumps).  A key move bisects to relocate
-        and splices with ``del`` + ``insert`` (C-level memmoves); the idle
-        flip check is served by the membership set, bisecting the serial
-        list only when the flag actually flipped.
-        Both paths file the host exactly where a from-scratch
-        ``sorted(..., key=rank_key)`` would (the hypothesis differentials in
-        tests/test_placement_index.py pin this against a scan rebuild).
+        A *zero-delta* reindex — an unchanged rank key — is O(1): one key
+        compare, no bisect, no list touched (the version still bumps).  A
+        key move bisects to relocate and splices with ``del`` + ``insert``
+        (C-level memmoves), and moves the host between idle-GPU buckets
+        when its idle count changed.  The host lands exactly where a
+        from-scratch ``sorted(..., key=rank_key)`` would put it (the
+        hypothesis differentials in tests/test_placement_index.py pin this
+        against a scan rebuild).
         """
         self.version += 1
         host_id = host.host_id
@@ -156,40 +130,21 @@ class HostIndex:
         if old_key is None:
             return
         new_key = rank_key(host)
-        # is_idle (no active training) can flip even when the rank key does
-        # not change back to a previously seen value, so track it separately.
-        indexed_idle = host_id in self._idle_ids
-        is_idle = host.is_idle
         if new_key == old_key:
-            if is_idle == indexed_idle:
-                return  # zero-delta: nothing moved, nothing flipped.
-        else:
-            keys = self._rank_keys
-            hosts = self._rank_hosts
-            position = bisect_left(keys, old_key)
-            del keys[position]
-            del hosts[position]
-            position = bisect_left(keys, new_key)
-            keys.insert(position, new_key)
-            hosts.insert(position, host)
-            self._entry_keys[host_id] = new_key
-            old_idle, new_idle = -old_key[1], -new_key[1]
-            if new_idle != old_idle:
-                self._bucket_remove(old_idle, host_id)
-                insort(self._idle_buckets.setdefault(new_idle, []), host_id)
-        if is_idle:
-            if not indexed_idle:
-                serial = self._idle_serial_of[host_id]
-                position = bisect_left(self._idle_serials, serial)
-                self._idle_serials.insert(position, serial)
-                self._idle_hosts.insert(position, host)
-                self._idle_ids.add(host_id)
-        elif indexed_idle:
-            serial = self._idle_serial_of[host_id]
-            position = bisect_left(self._idle_serials, serial)
-            del self._idle_serials[position]
-            del self._idle_hosts[position]
-            self._idle_ids.discard(host_id)
+            return  # zero-delta: nothing moved.
+        keys = self._rank_keys
+        hosts = self._rank_hosts
+        position = bisect_left(keys, old_key)
+        del keys[position]
+        del hosts[position]
+        position = bisect_left(keys, new_key)
+        keys.insert(position, new_key)
+        hosts.insert(position, host)
+        self._entry_keys[host_id] = new_key
+        old_idle, new_idle = -old_key[1], -new_key[1]
+        if new_idle != old_idle:
+            self._bucket_remove(old_idle, host_id)
+            insort(self._idle_buckets.setdefault(new_idle, []), host_id)
 
     def _bucket_remove(self, idle: int, host_id: str) -> None:
         bucket = self._idle_buckets[idle]
@@ -205,15 +160,6 @@ class HostIndex:
         """Active hosts in least-loaded rank order (do not mutate while
         iterating)."""
         return iter(self._rank_hosts)
-
-    def idle_hosts(self) -> List[Host]:
-        """Active hosts with no actively training replica, in cluster-
-        insertion order (matches the order of a host-dict scan)."""
-        return list(self._idle_hosts)
-
-    @property
-    def idle_host_count(self) -> int:
-        return len(self._idle_hosts)
 
     def hosts_with_idle_gpus(self, min_idle: int) -> int:
         """Number of active hosts with at least ``min_idle`` idle GPUs."""
@@ -269,13 +215,6 @@ class HostIndex:
             "rank hosts out of order"
         for key, host in zip(self._rank_keys, self._rank_hosts):
             assert key == rank_key(host), f"stale key for {host.host_id}"
-        assert self._idle_serials == sorted(self._idle_serials)
-        expected_idle = [h for h in sorted(
-            self._rank_hosts, key=lambda h: self._idle_serial_of[h.host_id])
-            if h.is_idle]
-        assert self._idle_hosts == expected_idle, "idle view out of sync"
-        assert self._idle_ids == {h.host_id for h in self._idle_hosts}, \
-            "idle membership set out of sync"
         buckets: Dict[int, List[str]] = {}
         for host in self._rank_hosts:
             buckets.setdefault(host.idle_gpus, []).append(host.host_id)

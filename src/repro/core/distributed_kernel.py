@@ -32,6 +32,12 @@ class ReplicaState(enum.Enum):
     TERMINATED = "terminated"
 
 
+# Module constants: reading a member through the enum class costs about ten
+# times a global lookup, and the election path reads these on every cell.
+_IDLE = ReplicaState.IDLE
+_EXECUTING = ReplicaState.EXECUTING
+
+
 @dataclass
 class KernelReplica:
     """One replica of a distributed kernel, hosted in a container."""
@@ -45,6 +51,12 @@ class KernelReplica:
     created_at: float = 0.0
     executions: int = 0
     was_prewarmed: bool = False
+    #: The LEAD proposal :meth:`proposal` built on its first LEAD.  A LEAD
+    #: proposal reads nothing that changes (a replica never changes host; a
+    #: migration creates a new replica) and is frozen, so one object serves
+    #: every election.
+    _lead: Optional[ReplicaProposal] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def host_id(self) -> str:
@@ -56,19 +68,25 @@ class KernelReplica:
 
     def can_lead(self, gpus_required: int) -> bool:
         """Whether this replica's host could bind the GPUs for a task now."""
-        if self.state is not ReplicaState.IDLE:
+        if self.state is not _IDLE:
             return False
         if gpus_required == 0:
             return True
         return self.host.can_bind_gpus(gpus_required)
 
     def proposal(self, gpus_required: int) -> ReplicaProposal:
-        lead = self.can_lead(gpus_required)
+        """This replica's LEAD proposal (the same object every time), or a
+        fresh YIELD proposal whose reason gives the host's idle GPUs now."""
         host = self.host
-        reason = "sufficient idle GPUs" if lead else (
+        if self.can_lead(gpus_required):
+            lead = self._lead
+            if lead is None:
+                lead = self._lead = ReplicaProposal(
+                    self.replica_id, host.host_id, True, "sufficient idle GPUs")
+            return lead
+        return ReplicaProposal(
+            self.replica_id, host.host_id, False,
             f"only {host.idle_gpus} idle GPUs on {host.host_id}")
-        return ReplicaProposal(replica_id=self.replica_id, host_id=host.host_id,
-                               lead=lead, reason=reason)
 
     def terminate(self) -> None:
         self.state = ReplicaState.TERMINATED
@@ -133,9 +151,8 @@ class DistributedKernel:
     def make_proposals(self, gpus_required: int) -> List[ReplicaProposal]:
         """Each idle or executing replica's LEAD / YIELD proposal for one
         cell execution (in replica order)."""
-        idle, executing = ReplicaState.IDLE, ReplicaState.EXECUTING
         return [replica.proposal(gpus_required) for replica in self.replicas
-                if replica.state is idle or replica.state is executing]
+                if replica.state is _IDLE or replica.state is _EXECUTING]
 
     # ------------------------------------------------------------------
     # Namespace model for state replication.

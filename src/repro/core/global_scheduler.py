@@ -28,7 +28,7 @@ from repro.cluster.provisioner import VMProvisioner
 from repro.cluster.resources import ResourceRequest
 from repro.core.config import ClusterConfig, PlatformConfig
 from repro.core.distributed_kernel import DistributedKernel, KernelReplica, ReplicaState
-from repro.core.election import ExecutorElection
+from repro.core.election import ExecutorElection, ReplicaProposal
 from repro.core.local_scheduler import (
     LocalScheduler,
     start_kernel_replicas,
@@ -147,12 +147,9 @@ class ClusterState:
         return self._committed_training_gpus
 
     def idle_hosts(self) -> List[Host]:
-        """Hosts with no replica actively training (candidates for scale-in).
-
-        Served from the index in cluster-insertion order — the same order the
-        previous active-host scan produced.
-        """
-        return self.index.idle_hosts()
+        """Active hosts with no replica actively training (candidates for
+        scale-in), in cluster-insertion order."""
+        return [h for h in self.hosts.values() if h.is_active and h.is_idle]
 
     def iter_ranked(self):
         """Active hosts in least-loaded placement rank order, O(1) to start."""
@@ -308,26 +305,28 @@ class GlobalScheduler:
     # Executor selection support.
     # ------------------------------------------------------------------
     def preferred_executor(self, kernel: DistributedKernel,
-                           gpus_required: int) -> Optional[str]:
+                           proposals: List[ReplicaProposal]) -> Optional[str]:
         """The replica the scheduler designates when it has enough information.
 
-        Prefers the previous executor (its GPU-resident state is warm), then
-        the replica on the least-loaded host by ``(idle_gpus desc,
-        subscribed_gpus asc)``.  Pure: no RNG, no mutation — the election
-        itself, which always consumes RNG, happens later in
+        The candidates are the replicas that proposed LEAD in ``proposals``,
+        the kernel's proposals for this election (``make_proposals``, made
+        at the same instant, so a LEAD is exactly a replica that can lead
+        now).  Prefers the previous executor (its GPU-resident state is
+        warm), then the replica on the least-loaded host by ``(idle_gpus
+        desc, subscribed_gpus asc)``.  Pure: no RNG, no mutation — the
+        election itself, which always consumes RNG, happens later in
         ``ExecutorElection.decide``.
         """
-        # can_lead implies IDLE, so terminated replicas drop out in this pass.
-        candidates = [replica for replica in kernel.replicas
-                      if replica.can_lead(gpus_required)]
-        if not candidates:
+        leaders = [proposal.replica_id for proposal in proposals
+                   if proposal.lead]
+        if not leaders:
             return None
         election = kernel.election
         last = election.last_executor_id if election is not None else None
-        if last is not None:
-            for replica in candidates:
-                if replica.replica_id == last:
-                    return last
+        if last in leaders:
+            return last
+        candidates = [replica for replica in kernel.replicas
+                      if replica.replica_id in leaders]
         best = max(candidates,
                    key=lambda r: (r.host.idle_gpus, -r.host.subscribed_gpus))
         return best.replica_id

@@ -59,41 +59,44 @@ class SchedulingPolicy:
     # ------------------------------------------------------------------
     @staticmethod
     def request_ingress(platform: "NotebookOSPlatform", steps: StepLatencies,
-                        gs_extra: float = 0.0):
-        """Request-path helper: client → GS → LS → kernel hops (a generator —
-        callers ``yield from`` it inside their own process).
+                        gs_extra: float = 0.0) -> float:
+        """Request-path helper: client → GS → LS → kernel hops.
 
-        Records steps (1)–(5) of Figure 15.  ``gs_extra`` adds policy-specific
+        Records steps (1)–(5) of Figure 15 and returns the absolute time the
+        request reaches the kernel; callers sleep until then with
+        ``yield platform.env.at(...)``.  ``gs_extra`` adds policy-specific
         Global Scheduler work (queueing, on-demand provisioning) to step (1).
 
         Nothing observable happens between the constant-delay hops, so the
-        whole chain is batched into **one** scheduled wake-up: the per-hop
-        delays are accumulated into an absolute wake time with the same float
-        additions the individual sleeps performed (bit-identical timestamps)
-        and slept through with a single ``env.at`` event instead of three.
+        whole chain is one wake-up: the per-hop delays are accumulated with
+        the same float additions the individual sleeps performed
+        (bit-identical timestamps).
         """
         config = platform.config
-        env = platform.env
         # Jupyter Server processing plus the hop to the Global Scheduler is
         # part of the (unnumbered) client-side path; it is tiny and constant.
-        wake = env.now + (config.jupyter_processing_s + config.network_hop_s)
+        wake = platform.env.now + (config.jupyter_processing_s
+                                   + config.network_hop_s)
         steps.record("gs_process_request", config.gs_processing_s + gs_extra)
         wake = wake + (config.gs_processing_s + gs_extra)
         steps.record("gs_to_ls_hop", config.network_hop_s)
         steps.record("ls_process_request", config.ls_processing_s)
         steps.record("ls_to_kernel_hop", config.network_hop_s)
         steps.record("kernel_preprocess", config.kernel_preprocess_s)
-        wake = wake + (2 * config.network_hop_s + config.ls_processing_s
+        return wake + (2 * config.network_hop_s + config.ls_processing_s
                        + config.kernel_preprocess_s)
-        yield env.at(wake)
 
     @staticmethod
-    def reply_egress(platform: "NotebookOSPlatform", steps: StepLatencies):
-        """Request-path helper: kernel → LS → GS → client reply (step 10+);
-        callers ``yield from`` it — already a single sleep."""
+    def reply_egress(platform: "NotebookOSPlatform",
+                     steps: StepLatencies) -> float:
+        """Request-path helper: kernel → LS → GS → client reply (step 10+).
+
+        Records the step and returns the reply's delay; callers ``yield``
+        it.
+        """
         config = platform.config
         steps.record("kernel_to_ls_hop", config.network_hop_s)
-        yield 3 * config.network_hop_s + config.jupyter_processing_s
+        return 3 * config.network_hop_s + config.jupyter_processing_s
 
     @staticmethod
     def stage_model_and_dataset(platform: "NotebookOSPlatform",

@@ -136,8 +136,8 @@ class BatchPolicy(SchedulingPolicy):
         host.register_container(container.container_id, container)
         provisioning_delay = env.now - queue_start
 
-        yield from self.request_ingress(platform, steps,
-                                        gs_extra=provisioning_delay)
+        yield env.at(self.request_ingress(platform, steps,
+                                          gs_extra=provisioning_delay))
 
         # Mandatory pre-processing data I/O: stage the model and dataset.
         stage_time = yield from self.stage_model_and_dataset(
@@ -157,7 +157,7 @@ class BatchPolicy(SchedulingPolicy):
         if gpus and host.gpus.holds(job_id):
             host.release_gpus(job_id, env.now)
         host.unregister_container(container.container_id)
-        yield from self.reply_egress(platform, steps)
+        yield self.reply_egress(platform, steps)
         metrics.completed_at = env.now
         metrics.status = "ok"
 

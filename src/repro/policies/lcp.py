@@ -90,8 +90,8 @@ class LargeContainerPoolPolicy(SchedulingPolicy):
         container.assign(job_id, job_id)
         acquisition_delay = env.now - wait_start
 
-        yield from self.request_ingress(platform, steps,
-                                        gs_extra=acquisition_delay)
+        yield env.at(self.request_ingress(platform, steps,
+                                          gs_extra=acquisition_delay))
 
         # Warming-up: download the session's model parameters and dataset.
         stage_time = yield from self.stage_model_and_dataset(
@@ -113,7 +113,7 @@ class LargeContainerPoolPolicy(SchedulingPolicy):
             host.release_gpus(job_id, env.now)
         # The container returns to the pool rather than being terminated.
         platform.prewarmer.put_back(host.host_id, container)
-        yield from self.reply_egress(platform, steps)
+        yield self.reply_egress(platform, steps)
         metrics.completed_at = env.now
         metrics.status = "ok"
         return metrics

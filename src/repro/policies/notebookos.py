@@ -75,7 +75,7 @@ class NotebookOSPolicy(SchedulingPolicy):
         steps = metrics.steps
         metrics.kernel_id = kernel.kernel_id
 
-        yield from self.request_ingress(platform, steps)
+        yield env.at(self.request_ingress(platform, steps))
 
         # Executor replica election (§3.2.2).  The previous executor id is
         # captured before the election to derive the reuse statistic.
@@ -98,7 +98,7 @@ class NotebookOSPolicy(SchedulingPolicy):
                 metrics.status = "error"
                 metrics.completed_at = env.now
                 return metrics
-        preferred = platform.global_scheduler.preferred_executor(kernel, gpus_needed)
+        preferred = platform.global_scheduler.preferred_executor(kernel, proposals)
         outcome = kernel.election.decide(proposals, preferred_replica=preferred)
         steps.record("primary_replica_protocol", outcome.latency_s)
         yield outcome.latency_s
@@ -117,7 +117,7 @@ class NotebookOSPolicy(SchedulingPolicy):
             if executor is None:
                 metrics.status = "error"
                 metrics.completed_at = env.now
-                yield from self.reply_egress(platform, steps)
+                yield self.reply_egress(platform, steps)
                 return metrics
         else:
             executor = kernel.replica_by_id(outcome.winner.replica_id)
@@ -198,7 +198,7 @@ class NotebookOSPolicy(SchedulingPolicy):
         executor.executions += 1
         kernel.executions_completed += 1
 
-        yield from self.reply_egress(platform, steps)
+        yield self.reply_egress(platform, steps)
         metrics.completed_at = env.now
         metrics.status = "ok"
 

@@ -112,7 +112,7 @@ class ReservationPolicy(SchedulingPolicy):
         steps = metrics.steps
         metrics.kernel_id = f"{session.session_id}-kernel"
 
-        yield from self.request_ingress(platform, steps)
+        yield env.at(self.request_ingress(platform, steps))
 
         host = reservation.host
         gpus = min(task.gpus, reservation.gpus_reserved) if task.is_gpu_task else 0
@@ -136,7 +136,7 @@ class ReservationPolicy(SchedulingPolicy):
         if gpus and host.gpus.holds(session.session_id):
             host.release_gpus(session.session_id, env.now)
 
-        yield from self.reply_egress(platform, steps)
+        yield self.reply_egress(platform, steps)
         metrics.completed_at = env.now
         metrics.status = "ok"
         return metrics

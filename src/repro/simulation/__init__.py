@@ -18,25 +18,14 @@ not as messages.
 
 from repro.simulation.engine import Environment, Process, SimulationError
 from repro.simulation.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.simulation.distributions import (
-    BoundedParetoSampler,
-    EmpiricalSampler,
-    ExponentialSampler,
-    LogNormalSampler,
-    PiecewiseCDFSampler,
-    SeededRandom,
-)
+from repro.simulation.distributions import PiecewiseCDFSampler, SeededRandom
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BoundedParetoSampler",
-    "EmpiricalSampler",
     "Environment",
     "Event",
-    "ExponentialSampler",
     "Interrupt",
-    "LogNormalSampler",
     "PiecewiseCDFSampler",
     "Process",
     "SeededRandom",

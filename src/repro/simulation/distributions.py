@@ -1,17 +1,10 @@
-"""Seeded random-variate samplers used by workloads and latency models.
+"""Seeded random streams and the percentile-table sampler.
 
 Every sampler is constructed from a :class:`SeededRandom` (or an explicit
 seed), so all simulations in the reproduction are deterministic and
-repeatable.  The samplers intentionally cover the families needed to match
-the workload statistics published in the NotebookOS paper:
-
-* :class:`LogNormalSampler` — heavy-tailed task durations,
-* :class:`ExponentialSampler` — memoryless inter-arrival components,
-* :class:`BoundedParetoSampler` — long tails with hard caps,
-* :class:`PiecewiseCDFSampler` — distributions specified directly from the
-  percentile tables the paper reports (e.g. AdobeTrace task-duration
-  percentiles in §2.3.1),
-* :class:`EmpiricalSampler` — resampling from observed values.
+repeatable.  :class:`PiecewiseCDFSampler` draws from distributions specified
+directly by the percentile tables the NotebookOS paper reports (e.g. the
+AdobeTrace task-duration percentiles in §2.3.1).
 """
 
 from __future__ import annotations
@@ -19,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def stable_seed(name: str) -> int:
@@ -57,65 +50,6 @@ class SeededRandom(random.Random):
         (Python randomizes string hashing per interpreter run).
         """
         return SeededRandom(stable_seed(f"{self._seed_value}:{name}"))
-
-
-class LogNormalSampler:
-    """Samples log-normal variates parameterised by median and sigma."""
-
-    def __init__(self, median: float, sigma: float, rng: SeededRandom,
-                 minimum: float = 0.0, maximum: Optional[float] = None) -> None:
-        if median <= 0:
-            raise ValueError(f"median must be positive, got {median}")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        self.mu = math.log(median)
-        self.sigma = sigma
-        self.minimum = minimum
-        self.maximum = maximum
-        self._rng = rng
-
-    def sample(self) -> float:
-        value = self._rng.lognormvariate(self.mu, self.sigma)
-        value = max(self.minimum, value)
-        if self.maximum is not None:
-            value = min(self.maximum, value)
-        return value
-
-
-class ExponentialSampler:
-    """Samples exponential variates with a given mean."""
-
-    def __init__(self, mean: float, rng: SeededRandom, minimum: float = 0.0) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        self.mean = mean
-        self.minimum = minimum
-        self._rng = rng
-
-    def sample(self) -> float:
-        return max(self.minimum, self._rng.expovariate(1.0 / self.mean))
-
-
-class BoundedParetoSampler:
-    """Samples from a Pareto distribution truncated to ``[lower, upper]``."""
-
-    def __init__(self, alpha: float, lower: float, upper: float,
-                 rng: SeededRandom) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if not 0 < lower < upper:
-            raise ValueError(f"require 0 < lower < upper, got {lower}, {upper}")
-        self.alpha = alpha
-        self.lower = lower
-        self.upper = upper
-        self._rng = rng
-
-    def sample(self) -> float:
-        alpha, low, high = self.alpha, self.lower, self.upper
-        u = self._rng.random()
-        ratio = (low / high) ** alpha
-        value = low / ((1.0 - u * (1.0 - ratio)) ** (1.0 / alpha))
-        return min(high, max(low, value))
 
 
 class PiecewiseCDFSampler:
@@ -161,16 +95,3 @@ class PiecewiseCDFSampler:
 
     def sample(self) -> float:
         return self.quantile(self._rng.random())
-
-
-class EmpiricalSampler:
-    """Resamples uniformly from a list of observed values."""
-
-    def __init__(self, values: Sequence[float], rng: SeededRandom) -> None:
-        if not values:
-            raise ValueError("empirical sampler needs at least one value")
-        self.values = list(values)
-        self._rng = rng
-
-    def sample(self) -> float:
-        return self._rng.choice(self.values)

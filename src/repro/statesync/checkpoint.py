@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.api.hooks import CHECKPOINT
 from repro.cluster.datastore import DistributedDataStore, ObjectPointer
 from repro.simulation.engine import Environment
 from repro.statesync.objects import NamespaceObject
@@ -52,28 +53,37 @@ class CheckpointManager:
 
     def checkpoint(self, obj: NamespaceObject, node_id: Optional[str] = None):
         """Simulation process: write one large object; returns its pointer."""
-        pointer = yield from self.datastore.write(
-            self._key(obj.name), obj.size_bytes,
-            owner=self.kernel_id, node_id=node_id)
-        self.records[obj.name] = CheckpointRecord(pointer=pointer, object=obj,
-                                                  written_at=self.env.now)
-        self.bytes_checkpointed += obj.size_bytes
-        self.checkpoints_written += 1
-        if self.hooks is not None:
-            from repro.api.hooks import CHECKPOINT
-
-            self.hooks.publish(CHECKPOINT, self.env.now, self.kernel_id,
-                               obj.name, obj.size_bytes)
-        return pointer
+        start = self.env.now
+        yield self.datastore.begin_write(obj.size_bytes)
+        return self._written(obj, start, node_id)
 
     def checkpoint_all(self, objects: List[NamespaceObject],
                        node_id: Optional[str] = None):
         """Simulation process: checkpoint a batch of large objects in sequence."""
+        env = self.env
+        begin_write = self.datastore.begin_write
         pointers = []
         for obj in objects:
-            pointer = yield from self.checkpoint(obj, node_id=node_id)
-            pointers.append(pointer)
+            start = env.now
+            yield begin_write(obj.size_bytes)
+            pointers.append(self._written(obj, start, node_id))
         return pointers
+
+    def _written(self, obj: NamespaceObject, start: float,
+                 node_id: Optional[str]) -> ObjectPointer:
+        """Record the write of ``obj`` begun at ``start``, whose latency
+        has just elapsed; returns its pointer."""
+        pointer = self.datastore.finish_write(
+            self._key(obj.name), obj.size_bytes, self.kernel_id, start, node_id)
+        now = self.env.now
+        self.records[obj.name] = CheckpointRecord(pointer=pointer, object=obj,
+                                                  written_at=now)
+        self.bytes_checkpointed += obj.size_bytes
+        self.checkpoints_written += 1
+        if self.hooks is not None:
+            self.hooks.publish(CHECKPOINT, now, self.kernel_id,
+                               obj.name, obj.size_bytes)
+        return pointer
 
     def restore(self, name: str, node_id: Optional[str] = None):
         """Simulation process: read one checkpointed object back."""

@@ -86,8 +86,9 @@ class StateSynchronizer:
         self._rng = rng or SeededRandom(stable_seed(kernel_id))
         self.sync_latencies: List[float] = []
         # code -> full sync plan: (namespace list object, small, large,
-        # small bytes, large bytes).  An entry is valid only while the
-        # caller passes the *same* namespace list object (identity check):
+        # small bytes, large bytes, whether the cell touches state).  An
+        # entry is valid only while the caller passes the *same* namespace
+        # list object (identity check):
         # DistributedKernel.namespace_objects builds its list once and
         # returns it on every call, so repeated executions of the same cell
         # skip the filter/partition scans and the byte sums.  The cache key
@@ -111,7 +112,7 @@ class StateSynchronizer:
         analysis = analyze_code(code)
         cached = self._partition_cache.get(code)
         if cached is not None and cached[0] is namespace_objects:
-            _, small, large, small_bytes, large_bytes = cached
+            _, small, large, small_bytes, large_bytes, touches_state = cached
         else:
             # One pass: the touched objects split by classify_object's
             # threshold (sizes are validated non-negative at construction).
@@ -126,12 +127,14 @@ class StateSynchronizer:
                         small.append(obj)
             small_bytes = sum(obj.size_bytes for obj in small)
             large_bytes = sum(obj.size_bytes for obj in large)
-            self._partition_cache[code] = (
-                namespace_objects, small, large, small_bytes, large_bytes)
+            touches_state = analysis.touches_state
+            self._partition_cache[code] = (namespace_objects, small, large,
+                                           small_bytes, large_bytes,
+                                           touches_state)
         report = SyncReport(analysis=analysis, small_objects=small, large_objects=large)
 
         # Step 1: AST + small state through the Raft log (a modelled commit).
-        if analysis.touches_state:
+        if touches_state:
             start = self.env.now
             yield self.latency_model.sample(self._rng)
             report.raft_sync_latency = self.env.now - start

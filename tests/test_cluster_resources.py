@@ -134,6 +134,17 @@ def _scan_owners(allocator):
     return holding
 
 
+def _scan_allocate(allocator, owner, count, now):
+    """Allocate the ``count`` lowest-id idle devices, found by listing every
+    idle device first: the differential oracle for ``allocate`` (it
+    bypasses the owner map too)."""
+    idle = [device for device in allocator.devices
+            if device.allocated_to is None]
+    for device in idle[:count]:
+        device.allocate(owner, now)
+    return [device.device_id for device in idle[:count]]
+
+
 def _scan_release(allocator, owner, now):
     """Release ``owner``'s GPUs by scanning every device: the pre-map oracle
     (it bypasses the allocator's owner map on purpose)."""
@@ -158,7 +169,10 @@ def test_gpu_allocator_owner_map_matches_device_scan(num_gpus, ops):
         if allocate:
             if count <= allocator.idle_count:
                 assert allocator.allocate(owner, count, now) == \
-                    oracle.allocate(owner, count, now)
+                    _scan_allocate(oracle, owner, count, now)
+            else:
+                with pytest.raises(RuntimeError, match=r"requested"):
+                    allocator.allocate(owner, count, now)
         else:
             assert allocator.release(owner, now) == \
                 _scan_release(oracle, owner, now)
@@ -172,6 +186,23 @@ def test_gpu_allocator_owner_map_matches_device_scan(num_gpus, ops):
     returned = allocator.owners()
     returned.clear()  # a copy: clearing it changes nothing
     assert allocator.owners() == _scan_owners(allocator)
+
+
+def test_negative_gpu_counts_are_rejected_before_any_device_moves():
+    allocator = GPUAllocator.create("h", 8)
+    with pytest.raises(ValueError, match=r"\(-1\)"):
+        allocator.allocate("k", -1, 0.0)
+    assert allocator.idle_count == 8
+    assert allocator.owners() == {} and not allocator.holds("k")
+    assert all(device.allocation_count == 0 for device in allocator.devices)
+    assert allocator.allocate("k", 0, 0.0) == []
+
+    host = Host("h1")
+    with pytest.raises(ValueError, match=r"\(-2\)"):
+        host.bind_gpus("k", -2, 0.0)
+    assert host.idle_gpus == 8 and host.gpus.idle_count == 8
+    assert host.committed_training_gpus == 0
+    assert host.active_training_count == 0 and host.is_idle
 
 
 def test_gpu_device_double_allocate_raises():

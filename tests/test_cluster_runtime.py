@@ -261,6 +261,48 @@ def test_datastore_redis_faster_than_s3_for_small_objects():
     assert sum(redis.write_latencies) < sum(s3.write_latencies)
 
 
+def test_datastore_begin_and_finish_write_match_the_write_process():
+    # Rewrites, cache-filling writes and cache-less writes, on a node cache
+    # small enough to evict.
+    writes = [("a", 40, "n1"), ("b", 30, "n1"), ("a", 50, "n2"),
+              ("c", 45, None), ("b", 35, "n1"), ("d", 90, "n1")]
+
+    def make_store():
+        env = Environment()
+        return env, DistributedDataStore(env, backend="s3",
+                                         rng=SeededRandom(15),
+                                         node_cache_capacity_bytes=100)
+
+    def as_processes(env, store):
+        pointers = []
+        for key, size, node in writes:
+            pointer = yield env.process(store.write(key, size, "k",
+                                                    node_id=node))
+            pointers.append(pointer)
+        return pointers
+
+    def by_hand(env, store):
+        pointers = []
+        for key, size, node in writes:
+            start = env.now
+            yield store.begin_write(size)
+            pointers.append(store.finish_write(key, size, "k", start, node))
+        return pointers
+
+    env, store = make_store()
+    twin_env, twin = make_store()
+    pointers = env.run(until=env.process(as_processes(env, store)))
+    twin_pointers = twin_env.run(until=twin_env.process(by_hand(twin_env,
+                                                                twin)))
+    assert twin_pointers == pointers
+    assert [p.version for p in pointers] == [1, 1, 2, 1, 2, 1]
+    assert twin.write_latencies == store.write_latencies
+    assert twin_env.now == env.now
+    assert twin._objects == store._objects   # object ids and times included
+    assert twin._node_caches == store._node_caches
+    assert twin.bytes_written == store.bytes_written == 290
+
+
 def test_datastore_delete_and_invalidate():
     env = Environment()
     store = DistributedDataStore(env, backend="redis", rng=SeededRandom(14))

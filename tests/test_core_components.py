@@ -431,6 +431,87 @@ def test_kernel_cpu_only_tasks_can_always_lead():
     assert all(p.lead for p in proposals)
 
 
+def test_make_proposals_reuses_each_replicas_lead_proposal():
+    kernel = make_kernel_with_replicas()
+    host0 = kernel.replicas[0].host
+    host0.bind_gpus("other", 7, now=0.0)   # host 0 keeps 1 idle GPU
+    first = kernel.make_proposals(gpus_required=2)
+    second = kernel.make_proposals(gpus_required=2)
+    for before, after, replica in zip(first[1:], second[1:],
+                                      kernel.replicas[1:]):
+        assert after is before
+        assert after == ReplicaProposal(replica.replica_id, replica.host_id,
+                                        True, "sufficient idle GPUs")
+    # YIELD proposals are built per election and read the host as it is now.
+    assert first[0].reason == second[0].reason == "only 1 idle GPUs on h0"
+    assert first[0] == ReplicaProposal("k1-r0", "h0", False,
+                                       "only 1 idle GPUs on h0")
+    host0.bind_gpus("other-2", 1, now=0.0)
+    assert kernel.make_proposals(gpus_required=2)[0].reason == \
+        "only 0 idle GPUs on h0"
+    host0.release_gpus("other", now=1.0)
+    host0.release_gpus("other-2", now=1.0)
+    assert kernel.make_proposals(gpus_required=2)[0] == ReplicaProposal(
+        "k1-r0", "h0", True, "sufficient idle GPUs")
+
+
+def _parent_preferred_executor(kernel, gpus_required):
+    """The designation rule before it read the election's proposals: scan
+    the replicas with ``can_lead``.  Kept here as the differential oracle."""
+    candidates = [replica for replica in kernel.replicas
+                  if replica.can_lead(gpus_required)]
+    if not candidates:
+        return None
+    election = kernel.election
+    last = election.last_executor_id if election is not None else None
+    if last is not None:
+        for replica in candidates:
+            if replica.replica_id == last:
+                return last
+    best = max(candidates,
+               key=lambda r: (r.host.idle_gpus, -r.host.subscribed_gpus))
+    return best.replica_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                st.integers(0, 24)), min_size=1, max_size=3),
+       replicas=st.lists(st.tuples(st.sampled_from(list(ReplicaState)),
+                                   st.integers(0, 2)), min_size=1, max_size=4),
+       gpus_required=st.integers(0, 9),
+       previous=st.one_of(st.none(), st.just("gone"), st.integers(0, 3)),
+       with_election=st.booleans())
+def test_preferred_executor_matches_the_can_lead_scan(
+        hosts, replicas, gpus_required, previous, with_election):
+    from repro.cluster.container import Container
+
+    platform = make_platform()
+    host_objects = []
+    for index, (num_gpus, busy, subscribed) in enumerate(hosts):
+        host = Host(host_id=f"h{index}", spec=HostSpec(num_gpus=num_gpus))
+        host.bind_gpus("other", min(busy, num_gpus), now=0.0)
+        host.subscribe("other", subscribed)
+        host_objects.append(host)
+    kernel = DistributedKernel(kernel_id="k1", session_id="s1",
+                               resource_request=ResourceRequest(gpus=1))
+    for index, (state, host_index) in enumerate(replicas):
+        host = host_objects[host_index % len(host_objects)]
+        container = Container(host_id=host.host_id,
+                              resources=kernel.resource_request,
+                              container_id=f"c{index}")
+        replica = KernelReplica(replica_id=f"k1-r{index}", kernel_id="k1",
+                                replica_index=index, host=host,
+                                container=container, state=state)
+        kernel.add_replica(replica)
+    if with_election:
+        kernel.election = ExecutorElection("k1", rng=SeededRandom(1))
+        kernel.election.last_executor_id = (
+            previous if not isinstance(previous, int) else f"k1-r{previous}")
+    proposals = kernel.make_proposals(gpus_required)
+    assert platform.global_scheduler.preferred_executor(kernel, proposals) \
+        == _parent_preferred_executor(kernel, gpus_required)
+
+
 def test_kernel_replica_management():
     kernel = make_kernel_with_replicas()
     removed = kernel.remove_replica("k1-r1")

@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import (
-    BoundedParetoSampler,
-    EmpiricalSampler,
-    ExponentialSampler,
-    LogNormalSampler,
-    PiecewiseCDFSampler,
-    SeededRandom,
-)
+from repro.simulation import PiecewiseCDFSampler, SeededRandom
 
 
 def test_seeded_random_substreams_are_independent_and_deterministic():
@@ -29,39 +22,6 @@ def test_seeded_random_substreams_are_independent_and_deterministic():
     assert rng2.substream("workload").random() == a1
     assert rng2.substream("network").random() == b1
     assert a1 != b1
-
-
-def test_lognormal_sampler_median_close():
-    rng = SeededRandom(1)
-    sampler = LogNormalSampler(median=120.0, sigma=1.0, rng=rng)
-    samples = sorted(sampler.sample() for _ in range(4000))
-    median = samples[len(samples) // 2]
-    assert 90.0 < median < 160.0
-
-
-def test_lognormal_sampler_respects_bounds():
-    rng = SeededRandom(2)
-    sampler = LogNormalSampler(median=10.0, sigma=2.0, rng=rng,
-                               minimum=1.0, maximum=100.0)
-    samples = [sampler.sample() for _ in range(1000)]
-    assert min(samples) >= 1.0
-    assert max(samples) <= 100.0
-
-
-def test_exponential_sampler_mean_close():
-    rng = SeededRandom(3)
-    sampler = ExponentialSampler(mean=300.0, rng=rng)
-    samples = [sampler.sample() for _ in range(5000)]
-    mean = sum(samples) / len(samples)
-    assert 270.0 < mean < 330.0
-
-
-def test_bounded_pareto_respects_bounds():
-    rng = SeededRandom(4)
-    sampler = BoundedParetoSampler(alpha=1.2, lower=10.0, upper=1000.0, rng=rng)
-    samples = [sampler.sample() for _ in range(2000)]
-    assert min(samples) >= 10.0
-    assert max(samples) <= 1000.0
 
 
 def test_piecewise_cdf_matches_knot_percentiles():
@@ -87,13 +47,6 @@ def test_piecewise_cdf_validation():
         PiecewiseCDFSampler([(0.5, 10.0), (0.5, 20.0)], rng)
     with pytest.raises(ValueError):
         PiecewiseCDFSampler([(0.0, -1.0), (1.0, 5.0)], rng)
-
-
-def test_empirical_sampler_only_returns_observed_values():
-    rng = SeededRandom(7)
-    values = [1.0, 2.0, 3.0]
-    sampler = EmpiricalSampler(values, rng)
-    assert all(sampler.sample() in values for _ in range(100))
 
 
 @settings(max_examples=50, deadline=None)
