@@ -107,7 +107,11 @@ class DistributedDataStore:
         """Simulation process: persist an object; returns an :class:`ObjectPointer`."""
         start = self.env.now
         yield self.begin_write(size_bytes)
-        return self.finish_write(key, size_bytes, owner, start, node_id)
+        stored = self.finish_write(key, size_bytes, owner, start, node_id)
+        # Built here rather than through pointer_to: Batch stages every job
+        # through this method, and the extra call per write would show.
+        return ObjectPointer(key=key, size_bytes=size_bytes,
+                             version=stored.version, backend=self.backend.name)
 
     def begin_write(self, size_bytes: int) -> float:
         """First half of :meth:`write`: draws and returns the latency.
@@ -122,21 +126,27 @@ class DistributedDataStore:
 
     def finish_write(self, key: str, size_bytes: int, owner: str,
                      start: float, node_id: Optional[str] = None
-                     ) -> ObjectPointer:
+                     ) -> StoredObject:
         """Second half of :meth:`write`, once the latency has elapsed:
-        records a write begun at ``start``; returns its pointer."""
+        records a write begun at ``start``; returns the
+        :class:`StoredObject` it filed (the store's own record, not a copy).
+        """
         now = self.env.now
         existing = self._objects.get(key)
         version = existing.version + 1 if existing else 1
-        self._objects[key] = StoredObject(
+        stored = self._objects[key] = StoredObject(
             key=key, size_bytes=size_bytes, owner=owner, written_at=now,
             object_id=self.env.next_serial("stored-object"), version=version)
         self.bytes_written += size_bytes
         self.write_latencies.append(now - start)
         if node_id is not None:
             self._cache_put(node_id, key, size_bytes)
-        return ObjectPointer(key=key, size_bytes=size_bytes, version=version,
-                             backend=self.backend.name)
+        return stored
+
+    def pointer_to(self, stored: StoredObject) -> ObjectPointer:
+        """The Raft-log pointer to one version of a stored object."""
+        return ObjectPointer(key=stored.key, size_bytes=stored.size_bytes,
+                             version=stored.version, backend=self.backend.name)
 
     def read(self, key: str, node_id: Optional[str] = None):
         """Simulation process: fetch an object; returns its :class:`StoredObject`."""

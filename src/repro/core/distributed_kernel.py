@@ -32,6 +32,21 @@ class ReplicaState(enum.Enum):
     TERMINATED = "terminated"
 
 
+#: The namespace descriptors every kernel shares: hyper-parameters, loss
+#: histories, result dicts and optimizer state, identical for every session.
+#: The tuple and its frozen descriptors are immutable, so sharing them across
+#: kernels and replays cannot carry state from one run into the next.
+FIXED_NAMESPACE = (
+    NamespaceObject(name="learning_rate", size_bytes=32, kind="scalar"),
+    NamespaceObject(name="batch_size", size_bytes=32, kind="scalar"),
+    NamespaceObject(name="history", size_bytes=16 * 1024, kind="history"),
+    NamespaceObject(name="losses", size_bytes=16 * 1024, kind="history"),
+    NamespaceObject(name="results", size_bytes=8 * 1024, kind="dict"),
+    NamespaceObject(name="metrics", size_bytes=8 * 1024, kind="dict"),
+    NamespaceObject(name="optimizer", size_bytes=256 * 1024, kind="optimizer"),
+)
+
+
 # Module constants: reading a member through the enum class costs about ten
 # times a global lookup, and the election path reads these on every cell.
 _IDLE = ReplicaState.IDLE
@@ -150,7 +165,8 @@ class DistributedKernel:
     # ------------------------------------------------------------------
     def make_proposals(self, gpus_required: int) -> List[ReplicaProposal]:
         """Each idle or executing replica's LEAD / YIELD proposal for one
-        cell execution (in replica order)."""
+        cell execution (in replica order), in a fresh list on every call:
+        the election's outcome keeps the list it is given."""
         return [replica.proposal(gpus_required) for replica in self.replicas
                 if replica.state is _IDLE or replica.state is _EXECUTING]
 
@@ -163,21 +179,14 @@ class DistributedKernel:
         The model parameters and dataset of the session's workload assignment
         are the large objects; the training hyper-parameters and loss history
         are the small ones.  The model is fixed at construction, so the list
-        is built once and every later call returns that same list object,
-        which lets the state synchronizer reuse its partition of the
-        namespace by identity.
+        is built once and every later call returns that same list object.
+        The seven fixed descriptors are the shared, frozen
+        :data:`FIXED_NAMESPACE` objects; only ``model`` and ``train_loader``
+        are the kernel's own.
         """
         if self._namespace is not None:
             return self._namespace
-        objects = [
-            NamespaceObject(name="learning_rate", size_bytes=32, kind="scalar"),
-            NamespaceObject(name="batch_size", size_bytes=32, kind="scalar"),
-            NamespaceObject(name="history", size_bytes=16 * 1024, kind="history"),
-            NamespaceObject(name="losses", size_bytes=16 * 1024, kind="history"),
-            NamespaceObject(name="results", size_bytes=8 * 1024, kind="dict"),
-            NamespaceObject(name="metrics", size_bytes=8 * 1024, kind="dict"),
-            NamespaceObject(name="optimizer", size_bytes=256 * 1024, kind="optimizer"),
-        ]
+        objects = list(FIXED_NAMESPACE)
         if self.assignment is not None:
             objects.append(NamespaceObject(
                 name="model", size_bytes=self.assignment.model.parameter_bytes,

@@ -42,6 +42,7 @@ class ElectionOutcome:
 
     election_id: int
     winner: Optional[ReplicaProposal]
+    #: The list passed to :meth:`ExecutorElection.decide`, not a copy.
     proposals: List[ReplicaProposal] = field(default_factory=list)
     latency_s: float = 0.0
     converted_to_yield: int = 0
@@ -105,6 +106,10 @@ class ExecutorElection:
         executor directly and converts the other replicas' requests into
         ``yield_request`` messages, bypassing the LEAD race (§3.2.2).  The
         designated replica still only wins if it proposed LEAD.
+
+        The outcome keeps ``proposals`` itself, not a copy: callers pass a
+        list they do not reuse (:meth:`DistributedKernel.make_proposals`
+        builds a fresh one per call).
         """
         if not proposals:
             raise ValueError("an election requires at least one proposal")
@@ -143,7 +148,7 @@ class ExecutorElection:
                     winner = self._rng.choice(lead_proposals)
 
         outcome = ElectionOutcome(election_id=election_id, winner=winner,
-                                  proposals=list(proposals),
+                                  proposals=proposals,
                                   latency_s=self.latency_model.sample(self._rng),
                                   converted_to_yield=converted)
         if winner is not None:

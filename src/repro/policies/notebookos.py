@@ -100,14 +100,21 @@ class NotebookOSPolicy(SchedulingPolicy):
                 return metrics
         preferred = platform.global_scheduler.preferred_executor(kernel, proposals)
         outcome = kernel.election.decide(proposals, preferred_replica=preferred)
-        steps.record("primary_replica_protocol", outcome.latency_s)
-        yield outcome.latency_s
+        # Read what the cell needs and drop the election's objects before
+        # the first sleep: held across the cell's sleeps, they outlive
+        # young collections for nothing.  The winner is a replica's shared
+        # LEAD proposal, which outlives the election anyway.
+        winner = outcome.winner
+        latency = outcome.latency_s
+        del proposals, outcome
+        steps.record("primary_replica_protocol", latency)
+        yield latency
         platform.metrics.record_executor_decision(
-            immediate_commit=not outcome.failed,
-            same_executor=(outcome.winner is not None
-                           and outcome.winner.replica_id == previous_executor))
+            immediate_commit=winner is not None,
+            same_executor=(winner is not None
+                           and winner.replica_id == previous_executor))
 
-        if outcome.failed:
+        if winner is None:
             # All replicas yielded: migrate one replica to a host with GPUs.
             metrics.required_migration = True
             migration_start = env.now
@@ -120,7 +127,7 @@ class NotebookOSPolicy(SchedulingPolicy):
                 yield self.reply_egress(platform, steps)
                 return metrics
         else:
-            executor = kernel.replica_by_id(outcome.winner.replica_id)
+            executor = kernel.replica_by_id(winner.replica_id)
             if executor is None:   # replica vanished (failure) - re-elect via migration
                 executor = yield env.process(platform.global_scheduler.migrate_replica(
                     kernel, gpus_needed))
@@ -202,22 +209,15 @@ class NotebookOSPolicy(SchedulingPolicy):
         metrics.completed_at = env.now
         metrics.status = "ok"
 
-        # Post-execution state replication happens off the critical path.
+        # Post-execution state replication happens off the critical path:
+        # the synchronizer schedules its commit and writes on the engine.
         if task.code:
-            platform.spawn_background(self._replicate_state(platform, kernel,
-                                                            executor.replica_id, task))
+            kernel.synchronizer.replicate(
+                task.code, kernel.namespace_objects(), executor.replica_id,
+                platform.metrics.raft_sync_latencies)
         return metrics
 
     @staticmethod
     def _kernel_owns_gpus(executor, kernel: DistributedKernel) -> bool:
         """Whether the kernel already holds GPUs on the executor's host."""
         return executor.host.gpus.holds(kernel.kernel_id)
-
-    def _replicate_state(self, platform: "NotebookOSPlatform",
-                         kernel: DistributedKernel, executor_replica: str,
-                         task: TaskRecord):
-        report = yield from kernel.synchronizer.synchronize(
-            task.code, kernel.namespace_objects(), node_id=executor_replica)
-        if report.raft_sync_latency > 0:
-            platform.metrics.raft_sync_latencies.append(report.raft_sync_latency)
-        return report

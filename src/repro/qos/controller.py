@@ -1,13 +1,14 @@
 """The closed-loop QoS controller.
 
 A :class:`QosController` owns a private :class:`~repro.telemetry.Telemetry`
-instance sized to exactly the quantiles its targets read, subscribes one
-:class:`TargetState` machine per target to the matching stream's
-``on_window`` callback, and evaluates triggers **only at window closes** —
-deterministic simulated times derived from the sample stream itself.  When
-several targets watch the same stream their machines run in declaration
-order (the telemetry layer invokes window callbacks in subscription order),
-which is the tie-break rule the multi-target tests pin.
+instance sized to exactly the streams and quantiles its targets read,
+subscribes one :class:`TargetState` machine per target to the matching
+stream's ``on_window`` callback, and evaluates triggers **only at window
+closes** — deterministic simulated times derived from the sample stream
+itself.  When several targets watch the same stream their machines run in
+declaration order (the telemetry layer invokes window callbacks in
+subscription order), which is the tie-break rule the multi-target tests
+pin.
 
 Every transition is published on the platform HookBus:
 
@@ -158,9 +159,13 @@ class QosController:
         #: Chronological (time, kind, target, detail) transition timeline.
         self.timeline: List[tuple] = []
         quantiles = config.quantiles() or (0.5,)
+        # Only the streams the targets read: the others would cost a sample
+        # (and a quantile sketch) per task that no target ever looks at.
         self.telemetry = Telemetry(window_s=config.window_s,
                                    quantiles=quantiles, retain_sketches=0,
-                                   publish_stats=False)
+                                   publish_stats=False,
+                                   streams=[state.target.metric
+                                            for state in self.states])
         # Declaration order == evaluation order at a shared window close:
         # on_window registration order is subscription order per stream.
         for state in self.states:

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry import DEFAULT_STREAMS
 from repro.telemetry.sketch import quantile_label
 
 __all__ = ["QosTarget", "QosConfig"]
@@ -130,6 +131,12 @@ class QosTarget:
     def validate(self) -> None:
         if not self.metric:
             raise ValueError("QosTarget.metric must be a stream name")
+        if self.metric not in DEFAULT_STREAMS:
+            # The controller's telemetry keeps only default streams, so a
+            # target on any other name would never see a window close.
+            raise ValueError(
+                f"unknown qos metric {self.metric!r}: a target must watch "
+                f"one of the telemetry streams {', '.join(DEFAULT_STREAMS)}")
         if self.percentile is not None and not 0.0 < self.percentile < 1.0:
             raise ValueError(
                 f"percentile must be in (0, 1), got {self.percentile}")

@@ -618,7 +618,9 @@ class Environment:
             stub) after ``delay`` seconds, ordered exactly as an event
             scheduled at the same moment would be.  It is the
             allocation-light form of ``timeout(delay).add_callback(fn)``;
-            nothing can wait on a deferred call.
+            nothing can wait on a deferred call.  Post-cell state
+            replication (:meth:`StateSynchronizer.replicate`) schedules its
+            Raft commit and each large-object write this way.
             """
             if not delay >= 0:  # NaN fails too
                 raise SimulationError(

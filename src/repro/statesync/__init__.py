@@ -8,10 +8,13 @@ replicas up to date (§3.2.4).  This package implements that pipeline:
 * :mod:`repro.statesync.objects` — object size classification: small objects
   travel through the Raft log, large objects (model parameters, datasets) are
   checkpointed to the distributed data store and referenced by pointer;
-* :mod:`repro.statesync.checkpoint` — the large-object checkpoint manager;
+* :mod:`repro.statesync.checkpoint` — the large-object checkpoint manager,
+  which keeps one record per write: the data store's own stored object;
 * :mod:`repro.statesync.synchronizer` — the state synchronizer that ties
   the pieces together and records the latencies reported in Figure 11 (the
-  Raft commit is a sampled latency, not a simulated Raft group).
+  Raft commit is a sampled latency, not a simulated Raft group).  Each
+  cell's replication is a small job whose commit and writes are scheduled
+  on the engine with ``Environment.defer``, not a simulation process.
 """
 
 from repro.statesync.ast_analysis import (
@@ -27,7 +30,7 @@ from repro.statesync.objects import (
     classify_object,
 )
 from repro.statesync.checkpoint import CheckpointManager
-from repro.statesync.synchronizer import StateSynchronizer, SyncReport
+from repro.statesync.synchronizer import Replication, StateSynchronizer
 
 __all__ = [
     "CheckpointManager",
@@ -35,8 +38,8 @@ __all__ = [
     "LARGE_OBJECT_THRESHOLD_BYTES",
     "NamespaceObject",
     "ObjectClass",
+    "Replication",
     "StateSynchronizer",
-    "SyncReport",
     "analyze_code",
     "ast_cache_stats",
     "classify_object",

@@ -7,6 +7,11 @@ datasets) for three purposes (§3.2.3–§3.2.5):
    objects if they later become the executor,
 2. state hand-off during replica migration, and
 3. recovery after multi-replica failures.
+
+Each write keeps one record: the data store's own
+:class:`~repro.cluster.datastore.StoredObject` for that version, held in
+:attr:`CheckpointManager.records` until the next write of the same name.
+Pointers are built from it only when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -15,23 +20,22 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.api.hooks import CHECKPOINT
-from repro.cluster.datastore import DistributedDataStore, ObjectPointer
+from repro.cluster.datastore import (
+    DistributedDataStore,
+    ObjectPointer,
+    StoredObject,
+)
 from repro.simulation.engine import Environment
 from repro.statesync.objects import NamespaceObject
 
 
 @dataclass
-class CheckpointRecord:
-    """Bookkeeping for one checkpointed object version."""
-
-    pointer: ObjectPointer
-    object: NamespaceObject
-    written_at: float
-
-
-@dataclass
 class CheckpointManager:
     """Persists and restores a kernel's large objects.
+
+    ``records`` maps each checkpointed object's name to the
+    :class:`~repro.cluster.datastore.StoredObject` its latest write filed in
+    the data store; that one object is the whole record of the write.
 
     When a :class:`~repro.api.hooks.HookBus` is attached, every completed
     checkpoint write is published on the ``CHECKPOINT`` topic as
@@ -42,7 +46,7 @@ class CheckpointManager:
     env: Environment
     datastore: DistributedDataStore
     kernel_id: str
-    records: Dict[str, CheckpointRecord] = field(default_factory=dict)
+    records: Dict[str, StoredObject] = field(default_factory=dict)
     bytes_checkpointed: int = 0
     checkpoints_written: int = 0
     objects_restored: int = 0
@@ -55,35 +59,35 @@ class CheckpointManager:
         """Simulation process: write one large object; returns its pointer."""
         start = self.env.now
         yield self.datastore.begin_write(obj.size_bytes)
-        return self._written(obj, start, node_id)
+        return self.datastore.pointer_to(self._written(obj, start, node_id))
 
     def checkpoint_all(self, objects: List[NamespaceObject],
                        node_id: Optional[str] = None):
-        """Simulation process: checkpoint a batch of large objects in sequence."""
+        """Simulation process: checkpoint a batch of large objects in
+        sequence; returns their pointers."""
         env = self.env
-        begin_write = self.datastore.begin_write
+        datastore = self.datastore
+        begin_write = datastore.begin_write
         pointers = []
         for obj in objects:
             start = env.now
             yield begin_write(obj.size_bytes)
-            pointers.append(self._written(obj, start, node_id))
+            pointers.append(
+                datastore.pointer_to(self._written(obj, start, node_id)))
         return pointers
 
     def _written(self, obj: NamespaceObject, start: float,
-                 node_id: Optional[str]) -> ObjectPointer:
+                 node_id: Optional[str]) -> StoredObject:
         """Record the write of ``obj`` begun at ``start``, whose latency
-        has just elapsed; returns its pointer."""
-        pointer = self.datastore.finish_write(
+        has just elapsed; returns the store's record of it."""
+        stored = self.records[obj.name] = self.datastore.finish_write(
             self._key(obj.name), obj.size_bytes, self.kernel_id, start, node_id)
-        now = self.env.now
-        self.records[obj.name] = CheckpointRecord(pointer=pointer, object=obj,
-                                                  written_at=now)
         self.bytes_checkpointed += obj.size_bytes
         self.checkpoints_written += 1
         if self.hooks is not None:
-            self.hooks.publish(CHECKPOINT, now, self.kernel_id,
+            self.hooks.publish(CHECKPOINT, self.env.now, self.kernel_id,
                                obj.name, obj.size_bytes)
-        return pointer
+        return stored
 
     def restore(self, name: str, node_id: Optional[str] = None):
         """Simulation process: read one checkpointed object back."""
@@ -109,8 +113,8 @@ class CheckpointManager:
 
     def pointer_for(self, name: str) -> Optional[ObjectPointer]:
         record = self.records.get(name)
-        return record.pointer if record else None
+        return self.datastore.pointer_to(record) if record else None
 
     def total_checkpointed_bytes(self) -> int:
         """Bytes of the *current* versions held in the store."""
-        return sum(record.object.size_bytes for record in self.records.values())
+        return sum(record.size_bytes for record in self.records.values())

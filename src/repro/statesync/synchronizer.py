@@ -10,7 +10,11 @@ After each cell execution, the executor replica:
    recording only pointers in the log (§3.2.4).
 
 Both steps happen off the user-request critical path; the high inter-arrival
-times of IDLT workloads hide the latency (§5.4 / Fig. 11).
+times of IDLT workloads hide the latency (§5.4 / Fig. 11).  They run as a
+:class:`Replication` job whose steps are scheduled with
+:meth:`Environment.defer` at the cell's completion instant, not as a
+simulation process: one engine entry for the commit and one per large-object
+write.
 
 The Raft commit of step 2 is not simulated message by message: its round
 trip is drawn from a log-normal :class:`SyncLatencyModel`, because running
@@ -20,7 +24,7 @@ per-kernel heartbeats for days of virtual time would be wasteful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.simulation.distributions import SeededRandom, stable_seed
@@ -51,25 +55,70 @@ class SyncLatencyModel:
                    rng.lognormvariate(math.log(self.median_s), self.sigma))
 
 
-@dataclass
-class SyncReport:
-    """Outcome of synchronizing one cell execution's state."""
+class Replication:
+    """One cell's post-execution replication, scheduled on the engine.
 
-    analysis: CodeAnalysis
-    small_objects: List[NamespaceObject] = field(default_factory=list)
-    large_objects: List[NamespaceObject] = field(default_factory=list)
-    raft_sync_latency: float = 0.0
-    checkpoint_latency: float = 0.0
-    bytes_via_raft: int = 0
-    bytes_via_datastore: int = 0
+    :meth:`StateSynchronizer.replicate` builds it at the cell's completion
+    instant and passes its bound methods to :meth:`Environment.defer`: the
+    Raft commit first, then one deferred step per large-object write.  No
+    process or generator is involved, and the job holds no reference to
+    its own steps, so it is freed by reference counting once its last step
+    has run.
 
-    @property
-    def total_latency(self) -> float:
-        return self.raft_sync_latency + self.checkpoint_latency
+    ``analysis`` and ``large_objects`` are what the cell replicates;
+    ``raft_sync_latency`` is 0.0 until the commit lands (and stays 0.0 for
+    a cell that touches no state).
+    """
 
-    @property
-    def replicated_names(self) -> List[str]:
-        return [obj.name for obj in self.small_objects + self.large_objects]
+    __slots__ = ("analysis", "large_objects", "raft_sync_latency", "_sync",
+                 "_node_id", "_sink", "_next", "_start")
+
+    def __init__(self, sync: "StateSynchronizer", analysis: CodeAnalysis,
+                 large_objects: List[NamespaceObject],
+                 node_id: Optional[str], sink: List[float]) -> None:
+        self.analysis = analysis
+        self.large_objects = large_objects
+        self.raft_sync_latency = 0.0
+        self._sync = sync
+        self._node_id = node_id
+        self._sink = sink
+        self._next = 0
+        self._start = 0.0
+
+    def _commit(self, _call) -> None:
+        """The Raft commit of the cell's AST and small state has landed."""
+        sync = self._sync
+        latency = self.raft_sync_latency = sync.env.now - self._start
+        sync.sync_latencies.append(latency)
+        if self.large_objects:
+            self._write_next()
+        else:
+            self._done()
+
+    def _write_next(self) -> None:
+        """Begin writing the next large object to the data store."""
+        sync = self._sync
+        env = sync.env
+        self._start = env.now
+        env.defer(sync.checkpoint_manager.datastore.begin_write(
+            self.large_objects[self._next].size_bytes), self._written)
+
+    def _written(self, _call) -> None:
+        """One large-object write has landed: record it, start the next."""
+        sync = self._sync
+        large = self.large_objects
+        sync.checkpoint_manager._written(large[self._next], self._start,
+                                         self._node_id)
+        self._next += 1
+        if self._next < len(large):
+            self._write_next()
+        else:
+            self._done()
+
+    def _done(self) -> None:
+        latency = self.raft_sync_latency
+        if latency > 0:
+            self._sink.append(latency)
 
 
 class StateSynchronizer:
@@ -85,69 +134,32 @@ class StateSynchronizer:
         self.latency_model = latency_model or SyncLatencyModel()
         self._rng = rng or SeededRandom(stable_seed(kernel_id))
         self.sync_latencies: List[float] = []
-        # code -> full sync plan: (namespace list object, small, large,
-        # small bytes, large bytes, whether the cell touches state).  An
-        # entry is valid only while the caller passes the *same* namespace
-        # list object (identity check):
-        # DistributedKernel.namespace_objects builds its list once and
-        # returns it on every call, so repeated executions of the same cell
-        # skip the filter/partition scans and the byte sums.  The cache key
-        # is the same source text the content-keyed AST memo
-        # (repro.statesync.ast_analysis.analyze_code) is keyed on, so a hit
-        # here pairs with a hit there and the whole replication plan for a
-        # checkpoint round is O(1) per call.  A caller that passes a fresh
-        # list each time just recomputes — same result either way (the
-        # partition is deterministic).
-        self._partition_cache: dict = {}
 
-    def synchronize(self, code: str, namespace_objects: Sequence[NamespaceObject],
-                    node_id: Optional[str] = None):
-        """Simulation process: replicate the state touched by ``code``.
+    def replicate(self, code: str,
+                  namespace_objects: Sequence[NamespaceObject],
+                  node_id: Optional[str], sink: List[float]) -> Replication:
+        """Replicate the state ``code`` touched, off the critical path.
 
-        ``namespace_objects`` describes the post-execution values of the
-        kernel namespace; only objects whose names the AST analysis marks as
-        assigned/mutated are replicated.  ``node_id`` is the executor
-        replica, which writes the large-object checkpoints.
+        Called at the instant the cell completes.  ``namespace_objects``
+        describes the post-execution kernel namespace; only objects whose
+        names the AST analysis marks as assigned or mutated are replicated.
+        If the cell touches state, a Raft commit latency is drawn from this
+        kernel's stream and the commit is scheduled; once it lands, each
+        large touched object is written to the data store in namespace
+        order by ``node_id``, the executor replica.  After the last write
+        (at the commit if there is none), a positive Raft latency is
+        appended to ``sink``.  Returns the scheduled job.
         """
         analysis = analyze_code(code)
-        cached = self._partition_cache.get(code)
-        if cached is not None and cached[0] is namespace_objects:
-            _, small, large, small_bytes, large_bytes, touches_state = cached
-        else:
-            # One pass: the touched objects split by classify_object's
-            # threshold (sizes are validated non-negative at construction).
-            touched_names = analysis.names_to_replicate
-            small = []
-            large = []
-            for obj in namespace_objects:
-                if obj.name in touched_names:
-                    if obj.size_bytes >= LARGE_OBJECT_THRESHOLD_BYTES:
-                        large.append(obj)
-                    else:
-                        small.append(obj)
-            small_bytes = sum(obj.size_bytes for obj in small)
-            large_bytes = sum(obj.size_bytes for obj in large)
-            touches_state = analysis.touches_state
-            self._partition_cache[code] = (namespace_objects, small, large,
-                                           small_bytes, large_bytes,
-                                           touches_state)
-        report = SyncReport(analysis=analysis, small_objects=small, large_objects=large)
-
-        # Step 1: AST + small state through the Raft log (a modelled commit).
-        if touches_state:
-            start = self.env.now
-            yield self.latency_model.sample(self._rng)
-            report.raft_sync_latency = self.env.now - start
-            report.bytes_via_raft = small_bytes
-            self.sync_latencies.append(report.raft_sync_latency)
-
-        # Step 2: large objects to the distributed data store (pointers only
-        # in the log, handled by the checkpoint manager).
-        if large:
-            start = self.env.now
-            yield from self.checkpoint_manager.checkpoint_all(
-                large, node_id=node_id)
-            report.checkpoint_latency = self.env.now - start
-            report.bytes_via_datastore = large_bytes
-
-        return report
+        touched = analysis.names_to_replicate
+        # Large objects are touched names, so a cell that writes one always
+        # commits first.
+        large = [obj for obj in namespace_objects
+                 if obj.size_bytes >= LARGE_OBJECT_THRESHOLD_BYTES
+                 and obj.name in touched]
+        job = Replication(self, analysis, large, node_id, sink)
+        if analysis.touches_state:
+            env = self.env
+            job._start = env.now
+            env.defer(self.latency_model.sample(self._rng), job._commit)
+        return job

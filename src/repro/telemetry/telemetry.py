@@ -62,7 +62,8 @@ from repro.telemetry.streams import WindowedStream, WindowSnapshot
 
 __all__ = ["Telemetry", "TelemetryReport", "DEFAULT_STREAMS"]
 
-#: The streams every attachment maintains, in report order.
+#: The streams an attachment maintains (all of them unless its ``streams``
+#: argument keeps fewer), in report order.
 DEFAULT_STREAMS = ("task_submit", "task_complete", "interactivity", "tct",
                    "sched_overhead", "placement")
 
@@ -70,9 +71,9 @@ DEFAULT_STREAMS = ("task_submit", "task_complete", "interactivity", "tct",
 #: the counter fast path with no quantile sketch.
 COUNTER_STREAMS = frozenset({"task_submit", "task_complete"})
 
-
-def _noop(*_args: Any) -> None:
-    """Stand-in for the per-run observe bindings outside a run."""
+#: Default streams fed from the ``TASK_COMPLETE`` hook.
+_COMPLETION_STREAMS = ("task_complete", "interactivity", "tct",
+                       "sched_overhead")
 
 
 @dataclass
@@ -193,12 +194,27 @@ class Telemetry:
     ``Simulation.with_telemetry``.  Reuse across runs follows the profiler's
     contract: idempotent for the same bus, re-attaching to a different bus
     first detaches, and per-run state resets on every ``RUN_START``.
+
+    ``streams`` picks which of :data:`DEFAULT_STREAMS` the attachment keeps
+    (all six by default; kept in report order whatever order they are given
+    in).  The hook callbacks compute no sample for a stream that is not
+    kept, and a hook none of the kept streams (or spans) reads is not
+    subscribed at all.  An unknown name raises :class:`ValueError`.
     """
 
     def __init__(self, window_s: float = 300.0,
                  quantiles: Sequence[float] = (0.5, 0.9, 0.99),
                  compression: int = 200, spans: bool = False,
-                 retain_sketches: int = 8, publish_stats: bool = True) -> None:
+                 retain_sketches: int = 8, publish_stats: bool = True,
+                 streams: Sequence[str] = DEFAULT_STREAMS) -> None:
+        unknown = [name for name in streams if name not in DEFAULT_STREAMS]
+        if unknown:
+            raise ValueError(
+                f"unknown telemetry stream(s) {', '.join(map(repr, unknown))}"
+                f" (known: {', '.join(DEFAULT_STREAMS)})")
+        #: The default streams this attachment keeps, in report order.
+        self.stream_names = tuple(name for name in DEFAULT_STREAMS
+                                  if name in streams)
         self.window_s = float(window_s)
         self.quantiles = tuple(quantiles)
         self.compression = int(compression)
@@ -227,13 +243,14 @@ class Telemetry:
         self._sim_started = 0.0
         self._running = False
         # Bound per-run in _on_run_start; pre-bound observe methods keep
-        # the per-sample hook callbacks free of dict lookups.
-        self._observe_submit: Callable[..., None] = _noop
-        self._observe_complete: Callable[..., None] = _noop
-        self._observe_interactivity: Callable[..., None] = _noop
-        self._observe_tct: Callable[..., None] = _noop
-        self._observe_overhead: Callable[..., None] = _noop
-        self._observe_placement: Callable[..., None] = _noop
+        # the per-sample hook callbacks free of dict lookups.  ``None`` (no
+        # run yet, or the stream is not kept) skips the sample entirely.
+        self._observe_submit: Optional[Callable[..., None]] = None
+        self._observe_complete: Optional[Callable[..., None]] = None
+        self._observe_interactivity: Optional[Callable[..., None]] = None
+        self._observe_tct: Optional[Callable[..., None]] = None
+        self._observe_overhead: Optional[Callable[..., None]] = None
+        self._observe_placement: Optional[Callable[..., None]] = None
 
     @property
     def last(self) -> Optional[TelemetryReport]:
@@ -249,13 +266,16 @@ class Telemetry:
         if self._attached is not None:
             self.detach()
         self._attached = bus
-        pairs = [
-            (RUN_START, self._on_run_start),
-            (TASK_SUBMIT, self._on_task_submit),
-            (TASK_COMPLETE, self._on_task_complete),
-            (PLACEMENT_DECISION, self._on_placement),
-        ]
-        if self.record_spans:
+        keep = self.stream_names
+        spans = self.record_spans
+        pairs = [(RUN_START, self._on_run_start)]
+        if spans or "task_submit" in keep:
+            pairs.append((TASK_SUBMIT, self._on_task_submit))
+        if spans or any(name in keep for name in _COMPLETION_STREAMS):
+            pairs.append((TASK_COMPLETE, self._on_task_complete))
+        if "placement" in keep:
+            pairs.append((PLACEMENT_DECISION, self._on_placement))
+        if spans:
             # Span-only topics cost a callback per publication (and
             # PLATFORM_EVENT is high-volume), so they are only wired up
             # when spans are actually being recorded.
@@ -363,19 +383,19 @@ class Telemetry:
         self._running = True
         now = platform.env.now
         self._sim_started = now
-        for name in DEFAULT_STREAMS:
-            self._make_stream(name, origin=now,
-                              counter=name in COUNTER_STREAMS)
+        observe = {}
+        for name in self.stream_names:
+            observe[name] = self._make_stream(
+                name, origin=now, counter=name in COUNTER_STREAMS).observe
+        self._observe_submit = observe.get("task_submit")
+        self._observe_complete = observe.get("task_complete")
+        self._observe_interactivity = observe.get("interactivity")
+        self._observe_tct = observe.get("tct")
+        self._observe_overhead = observe.get("sched_overhead")
+        self._observe_placement = observe.get("placement")
         for _topic, name, _extractor, kwargs in self._watches:
             if name not in self._streams:
                 self._make_stream(name, origin=now, **kwargs)
-        streams = self._streams
-        self._observe_submit = streams["task_submit"].observe
-        self._observe_complete = streams["task_complete"].observe
-        self._observe_interactivity = streams["interactivity"].observe
-        self._observe_tct = streams["tct"].observe
-        self._observe_overhead = streams["sched_overhead"].observe
-        self._observe_placement = streams["placement"].observe
         if self.record_spans:
             self._recorder = TraceRecorder()
             self._run_span = self._recorder.begin(
@@ -398,7 +418,9 @@ class Telemetry:
 
     def _on_task_submit(self, time: float, session: Any, task: Any,
                         metrics: Any) -> None:
-        self._observe_submit(time)
+        observe = self._observe_submit
+        if observe is not None:
+            observe(time)
         if self._recorder is not None:
             span = self._recorder.begin(
                 f"task[{task.task_index}]", "task", time,
@@ -409,16 +431,25 @@ class Telemetry:
 
     def _on_task_complete(self, time: float, session: Any, task: Any,
                           metrics: Any) -> None:
-        self._observe_complete(time)
-        interactivity = metrics.interactivity_delay
-        if interactivity is not None:
-            self._observe_interactivity(time, interactivity)
-        tct = metrics.task_completion_time
-        if tct is not None:
-            self._observe_tct(time, tct)
-        overhead = metrics.steps.end_to_end - metrics.steps.get("execute_code")
-        if overhead >= 0.0:
-            self._observe_overhead(time, overhead)
+        observe = self._observe_complete
+        if observe is not None:
+            observe(time)
+        observe = self._observe_interactivity
+        if observe is not None:
+            interactivity = metrics.interactivity_delay
+            if interactivity is not None:
+                observe(time, interactivity)
+        observe = self._observe_tct
+        if observe is not None:
+            tct = metrics.task_completion_time
+            if tct is not None:
+                observe(time, tct)
+        observe = self._observe_overhead
+        if observe is not None:
+            steps = metrics.steps
+            overhead = steps.end_to_end - steps.get("execute_code")
+            if overhead >= 0.0:
+                observe(time, overhead)
         recorder = self._recorder
         if recorder is not None:
             entry = self._task_spans.pop(session.session_id, None)
@@ -437,7 +468,9 @@ class Telemetry:
                 recorder.finish(span, time)
 
     def _on_placement(self, time: float, kernel_id: str, decision: Any) -> None:
-        self._observe_placement(time, 1.0 if decision.satisfied else 0.0)
+        observe = self._observe_placement
+        if observe is not None:
+            observe(time, 1.0 if decision.satisfied else 0.0)
 
     def _on_checkpoint(self, time: float, kernel_id: str, name: str,
                        size_bytes: int) -> None:

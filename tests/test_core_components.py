@@ -1,6 +1,8 @@
 """Unit tests for the control-plane components: election, placement,
 auto-scaling, GPU binding, and the distributed kernel abstraction."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.core import (
     ReplicaProposal,
     ReplicaState,
 )
+from repro.core.distributed_kernel import FIXED_NAMESPACE
 from repro.core.election import ElectionOutcome
 from repro.core.placement import cluster_subscription_ratio
 from repro.simulation import SeededRandom
@@ -108,6 +111,13 @@ def test_election_single_leader_wins():
     assert not outcome.failed
     assert outcome.winner.replica_id == "r1"
     assert outcome.latency_s > 0
+
+
+def test_election_outcome_keeps_the_callers_proposal_list():
+    election = ExecutorElection("k1", rng=SeededRandom(1))
+    round_proposals = proposals([False, True, True])
+    outcome = election.decide(round_proposals, preferred_replica="r2")
+    assert outcome.proposals is round_proposals
 
 
 def test_election_all_yield_fails():
@@ -525,12 +535,17 @@ def test_kernel_replica_management():
 def test_namespace_memo_is_stable_and_equal():
     kernel = make_kernel_with_replicas()
     first = kernel.namespace_objects()
-    # The same list object every call: the state synchronizer reuses its
-    # partition of the namespace by identity.
+    # The same list object every call, built once per kernel.
     assert kernel.namespace_objects() is first
     other = make_kernel_with_replicas()
     assert other.namespace_objects() == first
     assert other.namespace_objects() is not first
+    # The seven fixed descriptors are shared, frozen objects.
+    assert first[:7] == list(FIXED_NAMESPACE)
+    assert all(mine is theirs for mine, theirs
+               in zip(first[:7], other.namespace_objects()[:7]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].size_bytes = 64
 
 
 def test_kernel_namespace_objects_include_model_as_large_object():

@@ -293,6 +293,37 @@ def test_perfbench_workload_shapes_replay_identically_in_one_process(case):
 
 
 # ----------------------------------------------------------------------
+# Pinned digests of the excerpt and the K=2 failure storm.
+# ----------------------------------------------------------------------
+#: Collector sha256 prefixes of ``Simulation.from_spec(spec).run()`` on the
+#: excerpt at seed 1.  Batch and LCP share the data store and the request
+#: path with NotebookOS, so a speed-up that claims byte-identity must hold
+#: all four.  A behaviour change re-pins the digests it moves, on purpose.
+EXCERPT_SEED1_DIGESTS = {
+    "notebookos": "3f56a656d202f313",
+    "reservation": "a46627567148ac4b",
+    "batch": "50dd556a4d2f46cf",
+    "lcp": "be6e34fe9d0f102a",
+}
+#: ``failure_storm`` at its defaults, K=2 shards, serial driver (the
+#: parallel driver must equal it; the CI storm smoke checks that).
+FAILURE_STORM_K2_DIGEST = "24f591a05b322998"
+
+
+@pytest.mark.parametrize("policy", sorted(EXCERPT_SEED1_DIGESTS))
+def test_excerpt_seed1_digests_are_pinned(policy):
+    spec = RunSpec.from_scenario("excerpt", policy=policy, seed=1)
+    result = Simulation.from_spec(spec).run()
+    assert _digest(result)[:16] == EXCERPT_SEED1_DIGESTS[policy]
+
+
+def test_failure_storm_k2_serial_digest_is_pinned():
+    spec = RunSpec.from_scenario("failure_storm")
+    sharded = run_sharded(spec, 2, parallel=False)
+    assert _digest(sharded.result)[:16] == FAILURE_STORM_K2_DIGEST
+
+
+# ----------------------------------------------------------------------
 # No per-process state leaks into ids or fallback seeds.
 # ----------------------------------------------------------------------
 def _stored_objects(simulation: Simulation) -> list:

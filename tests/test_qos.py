@@ -102,6 +102,28 @@ def test_malformed_shorthand_rejected(text):
         target.validate()
 
 
+def test_target_on_a_stream_telemetry_never_keeps_is_rejected():
+    # A misspelled metric used to validate, then run with 0 breaches and
+    # 0 actions: no stream of that name ever closes a window.
+    target = QosTarget.from_string(
+        "interactivty:p99>0.001:autoscaler_override,extra_hosts=2,hold_s=900")
+    with pytest.raises(ValueError, match="'interactivty'") as info:
+        QosConfig(targets=[target]).validate()
+    # The message names the streams a target may watch.
+    assert "interactivity" in str(info.value)
+    assert "placement" in str(info.value)
+
+
+def test_controller_telemetry_keeps_only_its_targets_streams():
+    platform = _StubPlatform()
+    controller = QosController(platform, QosConfig.from_specs(
+        ["tct:p90>900", "interactivity:p99>50", "tct:p50>300"]))
+    assert controller.telemetry.stream_names == ("interactivity", "tct")
+    platform.hooks.publish(RUN_START, platform, None)
+    with pytest.raises(KeyError):
+        controller.telemetry.stream("sched_overhead")
+
+
 def test_target_round_trips_through_dict():
     target = QosTarget.from_string(
         "tct:p90>900:admission_throttle,delay_s=30,cooldown_s=600,"

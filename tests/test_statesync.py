@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import DistributedDataStore
+from repro.cluster.datastore import ObjectPointer
 from repro.simulation import Environment, SeededRandom
+from repro.simulation.engine import Process
 from repro.statesync import (
     CheckpointManager,
     LARGE_OBJECT_THRESHOLD_BYTES,
@@ -267,76 +269,240 @@ NAMESPACE = [
 def test_synchronize_splits_small_and_large_state():
     env, synchronizer, manager = make_synchronizer()
     code = "model = train(model, dataset)\nlr = 0.01\nhistory.append(lr)"
-
-    def run():
-        report = yield env.process(synchronizer.synchronize(
-            code, NAMESPACE, node_id="replica-1"))
-        return report
-
-    report = env.run(until=env.process(run()))
-    assert {o.name for o in report.small_objects} == {"lr", "history"}
-    assert {o.name for o in report.large_objects} == {"model"}
-    assert "untouched" not in report.replicated_names
-    assert report.raft_sync_latency > 0
-    assert report.checkpoint_latency > 0
+    sink = []
+    job = synchronizer.replicate(code, NAMESPACE, "replica-1", sink)
+    # Only the touched large objects are written; the small ones ride the
+    # Raft commit, and untouched names are not replicated at all.
+    assert [o.name for o in job.large_objects] == ["model"]
+    touched = job.analysis.names_to_replicate
+    assert {"lr", "history", "model"} <= touched
+    assert "untouched" not in touched and "dataset" not in touched
+    assert job.raft_sync_latency == 0.0   # nothing has run yet
+    env.run()
+    assert job.raft_sync_latency > 0
     assert manager.checkpoints_written == 1
-    assert synchronizer.sync_latencies
-
-
-def test_sync_plan_cache_hit_matches_cold_walk():
-    """A warm sync-plan replay is identical to the cold partition walk.
-
-    The plan cache keys on (code, namespace list identity); a hit must
-    reproduce the same object partition and the same byte totals the cold
-    path computed — the bit-identity contract the golden digests pin end to
-    end.
-    """
-    env, synchronizer, manager = make_synchronizer()
-    code = "model = train(model, dataset)\nlr = 0.01\nhistory.append(lr)"
-
-    def run():
-        cold = yield env.process(synchronizer.synchronize(
-            code, NAMESPACE, node_id="replica-1"))
-        warm = yield env.process(synchronizer.synchronize(
-            code, NAMESPACE, node_id="replica-1"))
-        return cold, warm
-
-    cold, warm = env.run(until=env.process(run()))
-    # The plan objects themselves are shared (no re-walk) ...
-    assert warm.small_objects is cold.small_objects
-    assert warm.large_objects is cold.large_objects
-    # ... and every derived quantity matches the cold computation.
-    assert warm.bytes_via_raft == cold.bytes_via_raft == 32 + 2048
-    assert warm.bytes_via_datastore == cold.bytes_via_datastore \
-        == 300 * 1024 ** 2
-    assert manager.checkpoints_written == 2
-    # A different namespace list object invalidates the plan (identity key).
-    reordered = list(NAMESPACE)
-
-    def rerun():
-        report = yield env.process(synchronizer.synchronize(
-            code, reordered, node_id="replica-1"))
-        return report
-
-    fresh = env.run(until=env.process(rerun()))
-    assert fresh.small_objects is not cold.small_objects
-    assert [o.name for o in fresh.small_objects] \
-        == [o.name for o in cold.small_objects]
-    assert fresh.bytes_via_raft == cold.bytes_via_raft
+    assert synchronizer.sync_latencies == [job.raft_sync_latency]
+    assert sink == [job.raft_sync_latency]
+    # The one write starts when the commit lands.
+    write_latencies = manager.datastore.write_latencies
+    assert len(write_latencies) == 1 and write_latencies[0] > 0
+    assert env.now == pytest.approx(job.raft_sync_latency
+                                    + write_latencies[0])
 
 
 def test_synchronize_pure_read_cell_is_noop():
     env, synchronizer, manager = make_synchronizer()
+    sink = []
+    job = synchronizer.replicate("print(history)", NAMESPACE, None, sink)
+    env.run()
+    assert job.raft_sync_latency == 0.0
+    assert job.large_objects == []
+    assert env.now == 0.0
+    assert env.dispatch_stats()["dispatched"] == 0
+    assert manager.checkpoints_written == 0
+    assert synchronizer.sync_latencies == [] and sink == []
+
+
+def test_checkpoint_records_are_the_stores_objects():
+    """A write keeps one record, the data store's own ``StoredObject``, and
+    the pointer APIs still return the same ``ObjectPointer`` values."""
+    env, synchronizer, manager = make_synchronizer()
+    store = manager.datastore
+    code = "model = train(model, dataset)\ndataset = load()"
+    synchronizer.replicate(code, NAMESPACE, "replica-1", [])
+    env.run()
+    synchronizer.replicate(code, NAMESPACE, "replica-2", [])
+    env.run()
+    assert sorted(manager.records) == ["dataset", "model"]
+    for name, record in manager.records.items():
+        key = f"kernel-1/{name}"
+        assert record is store._objects[key]
+        assert record.version == 2
+        assert manager.pointer_for(name) == ObjectPointer(
+            key=key, size_bytes=record.size_bytes, version=2, backend="s3")
+    assert manager.pointer_for("lr") is None
+    assert manager.total_checkpointed_bytes() == 300 * 1024 ** 2 + 1024 ** 3
 
     def run():
-        report = yield env.process(synchronizer.synchronize(
-            "print(history)", NAMESPACE))
-        return report
+        first = yield env.process(store.write("k/x", 64, "k"))
+        second = yield env.process(store.write("k/x", 96, "k"))
+        return first, second
 
-    report = env.run(until=env.process(run()))
-    assert report.raft_sync_latency == 0.0
-    assert report.bytes_via_datastore == 0
-    assert manager.checkpoints_written == 0
+    first, second = env.run(until=env.process(run()))
+    assert first == ObjectPointer(key="k/x", size_bytes=64, version=1,
+                                  backend="s3")
+    assert second == ObjectPointer(key="k/x", size_bytes=96, version=2,
+                                   backend="s3")
+
+
+@pytest.mark.parametrize("code, commits, large", [
+    ("print(history)", 0, 0),
+    ("lr = 0.01\nhistory.append(lr)", 1, 0),
+    ("model = train(model, dataset)", 1, 1),
+    ("model = train(model)\ndataset = load()\nlr = 0.1", 1, 2),
+])
+def test_replicating_a_cell_dispatches_one_entry_per_step(code, commits, large,
+                                                          monkeypatch):
+    """One entry for the commit plus one per large-object write, and no
+    process; the process path dispatched a bootstrap and a completion entry
+    on top of those."""
+    def no_process(*_args, **_kwargs):
+        raise AssertionError("replication created a process")
+
+    monkeypatch.setattr(Process, "__init__", no_process)
+    env, synchronizer, _manager = make_synchronizer()
+    env.process = no_process
+    job = synchronizer.replicate(code, NAMESPACE, "replica-1", [])
+    assert len(job.large_objects) == large
+    env.run()
+    assert env.dispatch_stats()["dispatched"] == commits + large
+
+    monkeypatch.undo()
+    env, synchronizer, _manager = make_synchronizer()
+    env.process(_oracle_replicate_state(synchronizer, code, NAMESPACE,
+                                        "replica-1", []))
+    env.run()
+    assert env.dispatch_stats()["dispatched"] == commits + large + 2
+
+
+# -- The process path replication replaced, kept here as the oracle. ----
+# ``_oracle_replicate_state`` -> ``_oracle_synchronize`` ->
+# ``_oracle_checkpoint_all`` are the three generator levels
+# ``NotebookOSPolicy`` used to spawn as one background process per cell.
+
+def _oracle_checkpoint_all(manager, objects, node_id):
+    env = manager.env
+    begin_write = manager.datastore.begin_write
+    for obj in objects:
+        start = env.now
+        yield begin_write(obj.size_bytes)
+        manager._written(obj, start, node_id)
+
+
+def _oracle_synchronize(synchronizer, code, namespace_objects, node_id):
+    env = synchronizer.env
+    analysis = analyze_code(code)
+    touched = analysis.names_to_replicate
+    large = [obj for obj in namespace_objects if obj.name in touched
+             and obj.size_bytes >= LARGE_OBJECT_THRESHOLD_BYTES]
+    raft_sync_latency = 0.0
+    if analysis.touches_state:
+        start = env.now
+        yield synchronizer.latency_model.sample(synchronizer._rng)
+        raft_sync_latency = env.now - start
+        synchronizer.sync_latencies.append(raft_sync_latency)
+    if large:
+        yield from _oracle_checkpoint_all(synchronizer.checkpoint_manager,
+                                          large, node_id)
+    return large, raft_sync_latency
+
+
+def _oracle_replicate_state(synchronizer, code, namespace_objects, node_id,
+                            sink):
+    report = yield from _oracle_synchronize(synchronizer, code,
+                                            namespace_objects, node_id)
+    if report[1] > 0:
+        sink.append(report[1])
+    return report
+
+
+CELL_TEMPLATES = [
+    "print(history)",                                  # pure reads
+    "len(losses)",
+    "this is not python(",                             # syntax error
+    "lr = 0.01",                                       # small state only
+    "history.append(loss)\nresults['acc'] = 0.9",
+    "del results",
+    "import numpy",
+    "def step(x):\n    return x",
+    "model = train(model, train_loader)",              # large objects
+    "model.fit(train_loader)\nhistory.append(1)",
+    "train_loader = load()\nmodel = build()\nlr = 0.1",
+    "optimizer.step()\nmodel.train()\ndataset = model",
+]
+NAMESPACE_NAMES = ["model", "train_loader", "dataset", "lr", "history",
+                   "losses", "results", "optimizer"]
+OBJECT_SIZES = [32, 2048, LARGE_OBJECT_THRESHOLD_BYTES - 1,
+                LARGE_OBJECT_THRESHOLD_BYTES, 300 * 1024 ** 2, 2 * 1024 ** 3]
+
+namespaces = st.lists(
+    st.tuples(st.sampled_from(NAMESPACE_NAMES), st.sampled_from(OBJECT_SIZES)),
+    min_size=1, max_size=8, unique_by=lambda entry: entry[0]).map(
+        lambda entries: [NamespaceObject(name=name, size_bytes=size)
+                         for name, size in entries])
+# (kernel, gap before the cell completes, code, executor replica).  Gaps
+# far below the write latencies make one kernel's replications overlap.
+cells = st.lists(
+    st.tuples(st.integers(0, 2),
+              st.sampled_from([0.0, 0.001, 0.05, 0.7, 3.0, 40.0]),
+              st.sampled_from(CELL_TEMPLATES),
+              st.sampled_from([None, "replica-0", "replica-1"])),
+    min_size=1, max_size=25)
+
+
+def _replay(seed, kernel_namespaces, cell_list, scheduled):
+    """Replay ``cell_list`` through either replication path and return
+    everything either path can change."""
+    env = Environment()
+    store = DistributedDataStore(env, backend="s3", rng=SeededRandom(seed),
+                                 node_cache_capacity_bytes=3 * 1024 ** 3)
+    syncs = [StateSynchronizer(
+        env, f"kernel-{index}",
+        CheckpointManager(env=env, datastore=store,
+                          kernel_id=f"kernel-{index}"),
+        rng=SeededRandom(seed).substream(f"sync:kernel-{index}"))
+        for index in range(len(kernel_namespaces))]
+    sink = []
+    outcomes = []
+
+    def driver():
+        for kernel, gap, code, node in cell_list:
+            yield gap
+            index = kernel % len(syncs)
+            sync, namespace = syncs[index], kernel_namespaces[index]
+            if scheduled:
+                outcomes.append(sync.replicate(code, namespace, node, sink))
+            else:
+                outcomes.append(env.process(_oracle_replicate_state(
+                    sync, code, namespace, node, sink)))
+
+    env.run(until=env.process(driver()))
+    env.run()
+    if scheduled:
+        reports = [(job.large_objects, job.raft_sync_latency)
+                   for job in outcomes]
+    else:
+        reports = [process.value for process in outcomes]
+    return {
+        "now": env.now,
+        "reports": reports,
+        "raft_sink": sink,
+        "sync_latencies": [sync.sync_latencies for sync in syncs],
+        "write_latencies": store.write_latencies,
+        "stored": dict(store._objects),
+        "records": [dict(sync.checkpoint_manager.records) for sync in syncs],
+        "written": [sync.checkpoint_manager.checkpoints_written
+                    for sync in syncs],
+        "node_caches": {node: list(cache.items())
+                        for node, cache in store._node_caches.items()},
+        "next_draws": ([sync._rng.random() for sync in syncs],
+                       store._rng.random()),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       kernel_namespaces=st.lists(namespaces, min_size=1, max_size=3),
+       cell_list=cells)
+def test_replicate_matches_the_process_path(seed, kernel_namespaces,
+                                            cell_list):
+    """The scheduled job replicates exactly as the per-cell process did:
+    the same latencies in the same order, the same stored objects (ids and
+    versions), node caches, and RNG positions afterwards."""
+    clear_ast_cache()
+    want = _replay(seed, kernel_namespaces, cell_list, scheduled=False)
+    got = _replay(seed, kernel_namespaces, cell_list, scheduled=True)
+    assert got == want
 
 
 def test_sync_latency_model_magnitudes_match_figure11():

@@ -20,6 +20,7 @@ from repro.api import RUN_END, Simulation
 from repro.metrics.collector import EventKind, MetricsCollector
 from repro.profiling import Profiler
 from repro.telemetry import (
+    DEFAULT_STREAMS,
     QuantileSketch,
     Telemetry,
     TelemetryReport,
@@ -294,6 +295,36 @@ def test_telemetry_resets_between_runs_and_follows_buses():
     other.run()
     assert len(telemetry.reports) == 3
     assert telemetry.last.policy == "reservation"
+
+
+def test_telemetry_limited_to_one_stream_matches_a_full_attachment():
+    """A ``streams=`` subset emits the same window snapshots for the
+    streams it keeps as a full attachment, and keeps no other stream."""
+    def run(telemetry):
+        closed = []
+        telemetry.on_window("interactivity", closed.append)
+        Simulation.from_scenario("smoke").with_telemetry(telemetry).run()
+        return closed
+
+    full = Telemetry(window_s=300.0)
+    limited = Telemetry(window_s=300.0, streams=["interactivity"])
+    full_windows = run(full)
+    assert len(full_windows) > 1
+    assert run(limited) == full_windows
+    assert limited.stream_names == ("interactivity",)
+    assert list(limited.last.streams) == ["interactivity"]
+    assert limited.last.streams["interactivity"] == \
+        full.last.streams["interactivity"]
+    with pytest.raises(KeyError):
+        limited.stream("tct")
+
+
+def test_telemetry_streams_keep_report_order_and_reject_unknown_names():
+    assert Telemetry(streams=["placement", "task_submit"]).stream_names \
+        == ("task_submit", "placement")
+    assert Telemetry().stream_names == DEFAULT_STREAMS
+    with pytest.raises(ValueError, match="'latency'"):
+        Telemetry(streams=["interactivity", "latency"])
 
 
 def test_telemetry_trace_export_matches_chrome_trace_event_shape():
