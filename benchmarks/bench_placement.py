@@ -4,7 +4,7 @@ PR 2 made the event engine ~2x faster; the scheduler layer then became the
 bottleneck — every placement decision re-sorted the full host list.  PR 3
 replaced those sorts with the incrementally maintained
 :class:`~repro.cluster.index.HostIndex` inside :class:`ClusterState`.  This
-benchmark pins that win the same way ``bench_engine.py`` pins the engine's:
+benchmark pins that win:
 
 * **micro** — an identical mixed decision workload (kernel placements with
   the two-pass SR limit, migration targeting with exclusion lists, plus GPU
@@ -14,8 +14,7 @@ benchmark pins that win the same way ``bench_engine.py`` pins the engine's:
   materialized ``active_hosts`` list, exactly what the Global Scheduler
   passed before this PR) at 100 / 500 / 1000 hosts.  A verification pass
   asserts both paths select identical hosts before anything is timed.
-* **scenarios** — end-to-end wall-clock for ``cluster_scale`` (comparable
-  against the PR 2 number committed in ``BENCH_engine.json``) and the new
+* **scenarios** — end-to-end wall-clock for ``cluster_scale`` and the
   ~1000-host ``mega_scale`` scenario, including the serial-vs-parallel
   bit-identity check.
 
@@ -46,7 +45,6 @@ from repro.core.placement import LeastLoadedPlacement
 from repro.simulation.engine import Environment
 
 DEFAULT_OUTPUT = Path(__file__).with_name("BENCH_placement.json")
-ENGINE_BASELINE = Path(__file__).with_name("BENCH_engine.json")
 
 # Allowed decisions/sec regression before --check fails (on the
 # machine-independent indexed/sorted speedup ratio, at 500 hosts).
@@ -194,18 +192,7 @@ def run_scenarios() -> dict:
     registry = default_registry()
     timings: dict = {}
 
-    # Same two specs bench_engine.py timed for PR 2, so the serial numbers
-    # form one comparable series across PRs.
     timings["cluster_scale"] = _time_pair(registry, "cluster_scale", (3, 4))
-    try:
-        engine_serial = json.loads(ENGINE_BASELINE.read_text())[
-            "scenarios"]["cluster_scale"]["serial_s"]
-        timings["cluster_scale"]["pr2_engine_serial_s"] = engine_serial
-        timings["cluster_scale"]["speedup_vs_pr2"] = round(
-            engine_serial / timings["cluster_scale"]["serial_s"], 2)
-    except (OSError, ValueError, KeyError):
-        pass
-
     timings["mega_scale"] = _time_pair(registry, "mega_scale", (5, 6))
     return timings
 

@@ -11,9 +11,12 @@ promises that make it safe to ship enabled-by-flag:
   control plane leaked into the disabled path.
 * **enabled = cheap** — the same run with a QoS target that never
   breaches (threshold effectively infinite, so the controller's window
-  evaluation runs every close but schedules nothing) must cost < 5 % wall
-  time over the telemetry-only run.  Measured as min-of-N in spawned
-  interpreters so allocator noise and warm caches don't pollute the ratio.
+  evaluation runs every close but schedules nothing) may make at most 5 %
+  more calls into ``repro`` functions than the telemetry-only run.  The
+  calls are cProfile primitive calls of functions under ``src/repro``,
+  comprehension frames excluded, over ``sim.run()``, each side in its own
+  spawned interpreter so both start with a cold AST cache.  The count
+  repeats exactly from run to run, so the ratio needs no noise band.
 * **the loop closes** — the ``failure_storm`` scenario under a
   p99-interactivity target must record at least one breach, fired action,
   and recovery (the control loop demonstrably controls).
@@ -31,9 +34,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import cProfile
 import hashlib
 import json
 import multiprocessing
+import os
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -47,18 +53,15 @@ BASELINE_DIGEST = \
     "86d9117009c1b7f638e0175ef2bfaf187094f67a93ed3550435841aa413757bf"
 
 SMOKE_SESSIONS = 300
-#: Interleaved plain/qos pairs for the overhead ratio.  The estimate is the
-#: *best per-pair ratio*: runs inside a pair are adjacent in time, so machine
-#: noise largely cancels within a pair, and a real regression shows up in
-#: every pair — min-of-pairs is robust where min(qos)/min(plain) flakes on
-#: sub-second walls.
-OVERHEAD_REPEATS = 5
-#: Allowed qos-enabled wall overhead vs telemetry-only.
-OVERHEAD_TOLERANCE = 0.05
+#: Allowed ratio of calls into ``repro`` with the idle target attached over
+#: calls without it.
+CALL_RATIO_CEILING = 1.05
+#: Frames cProfile reports for comprehensions, which the call count skips.
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
 #: A target that can never breach: the controller evaluates every window
 #: close (the full hot path) but never schedules a mitigation, so the
-#: wall-clock delta is pure control-plane overhead.
+#: extra calls are pure control-plane overhead.
 IDLE_TARGET = "interactivity:p99>1000000"
 #: The closed-loop demonstration target for the failure storm.
 STORM_TARGET = ("interactivity:p99>60:"
@@ -67,20 +70,27 @@ WINDOW_S = 300.0
 
 
 def _cluster_scale_worker(connection, sessions: int, qos: bool) -> None:
-    """One telemetry-attached cluster_scale run in a clean interpreter."""
+    """One telemetry-attached cluster_scale run in a clean interpreter,
+    counting its calls into ``repro`` functions."""
+    import repro
     from repro.api import Simulation
 
     sim = (Simulation.from_scenario("cluster_scale", num_sessions=sessions)
            .with_telemetry(window_s=WINDOW_S))
     if qos:
         sim.with_qos(IDLE_TARGET, window_s=WINDOW_S)
-    started = time.perf_counter()
+    profile = cProfile.Profile()
+    profile.enable()
     result = sim.run()
-    elapsed = time.perf_counter() - started
+    profile.disable()
+    package = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    calls = sum(primitive for (path, _, func), (primitive, *_)
+                in pstats.Stats(profile).stats.items()
+                if path.startswith(package) and func not in COMPREHENSIONS)
     canonical = json.dumps(result.collector.to_dict(), sort_keys=True,
                            separators=(",", ":"))
     connection.send({
-        "wall_s": round(elapsed, 3),
+        "calls": calls,
         "digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "tasks_completed": result.summary()["tasks_completed"],
     })
@@ -112,8 +122,9 @@ def _storm_worker(connection) -> None:
 
 
 def _measure(target, *args) -> dict:
-    """Run one worker in a fresh *spawned* interpreter (clean process image;
-    wall clock taken inside the child, so startup is excluded)."""
+    """Run one worker in a fresh *spawned* interpreter (clean process
+    image and cold caches; measured inside the child, so startup is
+    excluded)."""
     context = multiprocessing.get_context("spawn")
     parent_end, child_end = context.Pipe()
     process = context.Process(target=target, args=(child_end, *args))
@@ -131,50 +142,38 @@ def _measure(target, *args) -> dict:
 
 
 def run_smoke(sessions: int = SMOKE_SESSIONS) -> dict:
-    """Digest pin, overhead ratio, and loop closure at CI sizes."""
-    plain_walls, qos_walls, pair_ratios = [], [], []
-    digests = set()
-    qos_tasks = plain_tasks = None
-    for _ in range(OVERHEAD_REPEATS):
-        plain = _measure(_cluster_scale_worker, sessions, False)
-        enabled = _measure(_cluster_scale_worker, sessions, True)
-        plain_walls.append(plain["wall_s"])
-        qos_walls.append(enabled["wall_s"])
-        pair_ratios.append(enabled["wall_s"] / plain["wall_s"])
-        digests.add(plain["digest"])
-        plain_tasks = plain["tasks_completed"]
-        qos_tasks = enabled["tasks_completed"]
+    """Digest pin, call ratio, and loop closure at CI sizes."""
+    plain = _measure(_cluster_scale_worker, sessions, False)
+    enabled = _measure(_cluster_scale_worker, sessions, True)
     storm = _measure(_storm_worker)
-    overhead = min(min(pair_ratios),
-                   min(qos_walls) / min(plain_walls)) - 1.0
     return {
         "sessions": sessions,
-        "digest": sorted(digests)[0] if len(digests) == 1 else sorted(digests),
-        "digest_stable": len(digests) == 1,
-        "telemetry_wall_s": min(plain_walls),
-        "qos_wall_s": min(qos_walls),
-        "qos_overhead": round(overhead, 4),
-        "tasks_completed": plain_tasks,
-        "qos_tasks_completed": qos_tasks,
+        "digest": plain["digest"],
+        "telemetry_calls": plain["calls"],
+        "qos_calls": enabled["calls"],
+        "call_ratio": round(enabled["calls"] / plain["calls"], 4),
+        "tasks_completed": plain["tasks_completed"],
+        "qos_tasks_completed": enabled["tasks_completed"],
         "storm": storm,
     }
 
 
 def check_regression(smoke: dict) -> int:
-    """Non-zero on digest drift, overhead breach, or an open loop."""
+    """Non-zero on digest drift, a call-ratio breach, or an open loop."""
     failures = 0
 
-    stable = smoke["digest_stable"] and smoke["digest"] == BASELINE_DIGEST
+    stable = smoke["digest"] == BASELINE_DIGEST
     print(f"check: qos-disabled cluster_scale digest "
           f"{'matches pre-QoS baseline' if stable else 'DRIFTED'} "
           f"({smoke['digest'] if not stable else smoke['digest'][:16]}...)")
     failures += 0 if stable else 1
 
-    overhead = smoke["qos_overhead"]
-    within = overhead <= OVERHEAD_TOLERANCE
-    print(f"check: qos-enabled overhead {overhead * 100:.1f}% vs "
-          f"telemetry-only (ceiling {OVERHEAD_TOLERANCE * 100:.0f}%): "
-          f"{'ok' if within else 'TOO SLOW'}")
+    ratio = smoke["call_ratio"]
+    within = ratio <= CALL_RATIO_CEILING
+    print(f"check: qos-enabled calls {smoke['qos_calls']:,} / telemetry-only "
+          f"{smoke['telemetry_calls']:,} = {ratio:.4f} "
+          f"(ceiling {CALL_RATIO_CEILING:.2f}): "
+          f"{'ok' if within else 'TOO MUCH WORK'}")
     failures += 0 if within else 1
 
     storm = smoke["storm"]
@@ -190,10 +189,10 @@ def check_regression(smoke: dict) -> int:
 
 def _print_smoke(smoke: dict) -> None:
     print(f"[qos smoke] cluster_scale sessions={smoke['sessions']}")
-    print(f"  telemetry-only : {smoke['telemetry_wall_s']:.3f}s  "
+    print(f"  telemetry-only : {smoke['telemetry_calls']:,} calls  "
           f"tasks {smoke['tasks_completed']}")
-    print(f"  qos idle target: {smoke['qos_wall_s']:.3f}s  "
-          f"overhead {smoke['qos_overhead'] * 100:+.1f}%")
+    print(f"  qos idle target: {smoke['qos_calls']:,} calls  "
+          f"ratio {smoke['call_ratio']:.4f}")
     storm = smoke["storm"]
     print(f"  failure_storm  : {storm['wall_s']:.3f}s  "
           f"tasks {storm['tasks_completed']}  "
@@ -206,7 +205,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI sizes only (currently the only sizes)")
     parser.add_argument("--check", action="store_true",
-                        help="verify the digest pin, the <5%% overhead "
+                        help="verify the digest pin, the <=1.05 call-ratio "
                              "ceiling, and loop closure; exit non-zero on "
                              "any breach (does not overwrite the baseline)")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,

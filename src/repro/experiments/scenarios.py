@@ -485,7 +485,8 @@ def default_registry() -> ScenarioRegistry:
             name="cluster_scale",
             description=f"{CLUSTER_SCALE_SESSIONS} sessions over "
                         f"{CLUSTER_SCALE_HOURS:g} hours on hundreds of hosts "
-                        "— engine stress test (see bench_engine.py)",
+                        "— replay stress test (perfbench's oversub_notebookos "
+                        "and fcfs_batch workloads)",
             generator="adobe", default_seed=3,
             generator_kwargs={"num_sessions": CLUSTER_SCALE_SESSIONS,
                               "duration_hours": CLUSTER_SCALE_HOURS,

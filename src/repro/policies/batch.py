@@ -65,10 +65,10 @@ class BatchPolicy(SchedulingPolicy):
         ticket, so at most one job polls at a time, whatever the queue
         length.
 
-        Handoff: whenever the head leaves — it got a host, was interrupted,
-        or its generator was closed — the ``finally`` block hands the head
-        to the next ticket by succeeding it.  The new head resumes at the
-        handoff instant ``t``, replays the float additions of its grid to
+        Handoff: whenever the head leaves — it got a host or its generator
+        was closed — the ``finally`` block hands the head to the next
+        ticket by succeeding it.  The new head resumes at the handoff
+        instant ``t``, replays the float additions of its grid to
         the first instant at or after ``t`` and polls there, sleeping until
         exactly then with ``env.at`` if that instant is later.  A follower
         therefore costs at most two queue entries, the handoff and that sleep,

@@ -14,8 +14,8 @@ dispatched*, without touching the simulation timeline:
   scale events, ...) by topic name.
 * **engine dispatch counters** — the run-scoped delta of
   :meth:`Environment.dispatch_stats` (queue entries dispatched, fused
-  same-timestamp batches, tuple serials, overflow migrations, window
-  rebases), published by the platform in the ``RUN_END`` stats payload.
+  same-timestamp batches, heap serials), published by the platform in the
+  ``RUN_END`` stats payload.
 
 Everything is collected through :class:`~repro.api.hooks.HookBus`
 subscriptions made by :meth:`Profiler.attach`; a run without a profiler
@@ -136,10 +136,7 @@ class ProfileReport:
                 f"{d.get('batches', 0):,} batches "
                 f"(fusion {self.batch_fusion:.2f}x), "
                 f"{self.events_per_sec:,.0f} entries/s")
-            lines.append(
-                f"            {d.get('serials', 0):,} tuple serials, "
-                f"{d.get('overflow', 0):,} overflow migrations, "
-                f"{d.get('rebases', 0):,} window rebases")
+            lines.append(f"            {d.get('serials', 0):,} heap serials")
         if self.ast_cache:
             lines.append(f"  ast cache: {self.ast_cache.get('hits', 0):,} hits"
                          f" / {self.ast_cache.get('misses', 0):,} misses")

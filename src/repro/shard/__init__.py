@@ -1,11 +1,10 @@
 """repro.shard — space-sharded simulation with deterministic barriers.
 
 Partitions one run's sessions over K shards, each simulated by its own
-calendar-queue engine (in-process or one process per shard), exchanging
-fleet-wide capacity pressure at fixed epoch barriers; nothing else crosses
-shards.  Serial and parallel execution of the same K-shard plan are
-byte-identical; ``num_shards=1`` bypasses all of it and is the frozen
-serial reference.
+engine (in-process or one process per shard), exchanging fleet-wide
+capacity pressure at fixed epoch barriers; nothing else crosses shards.
+Serial and parallel execution of the same K-shard plan are byte-identical;
+``num_shards=1`` bypasses all of it and is the frozen serial reference.
 """
 
 from repro.shard.barrier import GlobalFrame, ShardContext, ShardFrame

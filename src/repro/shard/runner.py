@@ -9,7 +9,7 @@ For K > 1 the run proceeds in lockstep epochs over the *global* horizon:
 
 1. each shard builds its own full platform from the spec, against its
    sub-trace (configs resolve per sub-trace, so the fleet divides ~K ways);
-2. every epoch, each shard steps its calendar queue to the barrier time,
+2. every epoch, each shard steps its engine to the barrier time,
    reports the capacity pressure it noted in a
    :class:`~repro.shard.barrier.ShardFrame`, and blocks;
 3. the coordinator sums the K frames' pressure (shard order) into a

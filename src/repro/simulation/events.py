@@ -1,175 +1,69 @@
 """Waitable event primitives for the discrete-event engine.
 
-Events are the unit of coordination in the simulation: a process ``yield``\\ s
-an event and is resumed when that event is *triggered* (either successfully,
-with a value, or with an exception).  The engine (:mod:`repro.simulation.engine`)
-owns the event queue; this module only defines the event objects themselves.
+A process ``yield``\\ s an event and resumes, with the event's value, once
+the engine has *processed* it: popped it from the queue and run its
+callbacks.  The engine (:mod:`repro.simulation.engine`) owns the queue and
+builds ``Event``\\ s and ``Timeout``\\ s through its ``event``/``at``
+closures; this module defines the objects themselves.
 
-Events are the single most-allocated objects in a run (one ``Timeout`` per
-tick of every periodic loop, one resume per message delivery), so the class
-is deliberately allocation-light:
+Events never fail.  A process that raises ends the run (the exception
+leaves :meth:`Environment.run <repro.simulation.engine.Environment.run>`
+unchanged), so there is nothing to propagate to waiters.
 
-* every event class uses ``__slots__`` — no per-instance ``__dict__``;
-* the callback list is lazy: most events have exactly one waiter, which is
-  stored directly in the ``_callbacks`` slot; a list is only materialized
-  when a second callback registers;
-* ``succeed``/``fail`` trigger *at the current time*, so they append the
-  event straight to the environment's same-time FIFO lane — no serial, no
-  tuple, no heap operation; ``Timeout`` routes through the calendar queue
-  (``env._push``), which is a plain list append for most delays.
+Events are the simulator's most-allocated objects, so they are kept
+allocation-light: ``__slots__`` everywhere, and a callback slot that holds
+the single waiter directly and becomes a list only when a second waiter
+registers.  ``succeed`` triggers at the current time, so it appends the
+event straight to the environment's same-time FIFO lane: no serial, no
+tuple, no heap operation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.simulation.engine import Environment
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupting party supplies a ``cause`` describing why the process was
-    interrupted (for example, a migration request arriving while a kernel
-    replica is idle-waiting).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
-
-
-#: Sentinel stored in ``_callbacks`` once an event has been processed; it
-#: doubles as the "processed" flag so no separate boolean slot is needed.
+#: Stored in ``_callbacks`` once an event has been processed; it doubles as
+#: the "processed" flag, so no separate boolean slot is needed.
 _PROCESSED = object()
 
 
 class Event:
-    """A one-shot waitable event.
+    """A one-shot waitable event, built by ``Environment.event()``.
 
-    An event starts *untriggered*.  Calling :meth:`succeed` or :meth:`fail`
-    triggers it, which schedules it with the environment; once the scheduler
-    pops it, every registered callback runs and waiting processes resume.
-
-    Failure escalation (``defused``)
-        A failed event normally delivers its exception to whoever waits on
-        it.  If the engine processes a failed event and *nothing* marked the
-        failure as handled, the exception would previously vanish silently;
-        now the engine re-raises it from :meth:`Environment.run` so broken
-        simulations fail loudly.  Setting :attr:`defused` to ``True``
-        suppresses that escalation.  It is set automatically when
-
-        * a waiting process has the exception thrown at its ``yield`` (the
-          waiter is now responsible for it),
-        * a condition event absorbs a child's failure, or
-        * a process dies of an uncaught :class:`Interrupt` — interruption is
-          deliberate cancellation, not an error.
+    An event starts untriggered.  :meth:`succeed` triggers it, which queues
+    it at the current time; once the engine pops it, every registered
+    callback runs and waiting processes resume with :attr:`value`.
     """
 
-    __slots__ = ("env", "_callbacks", "_value", "_exception", "_triggered",
-                 "defused")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self._callbacks: Any = None
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-        self._triggered = False
-        self.defused = False
+    __slots__ = ("env", "_callbacks", "_value", "_triggered")
 
     @property
     def triggered(self) -> bool:
-        """Whether the event has been triggered (scheduled for processing)."""
+        """Whether the event has been triggered (queued for processing)."""
         return self._triggered
 
     @property
     def processed(self) -> bool:
-        """Whether the event's callbacks have already been executed."""
+        """Whether the event's callbacks have already run."""
         return self._callbacks is _PROCESSED
 
     @property
-    def ok(self) -> bool:
-        """Whether the event was triggered successfully (no exception)."""
-        return self._triggered and self._exception is None
-
-    @property
-    def callbacks(self) -> Optional[Tuple[Callable[["Event"], None], ...]]:
-        """The registered callbacks (``None`` once processed).
-
-        Read-only introspection: a *tuple* snapshot, so the seed engine's
-        ``event.callbacks.append(cb)`` idiom fails loudly instead of
-        mutating a throwaway copy.  Register via :meth:`add_callback`.
-        """
-        cbs = self._callbacks
-        if cbs is _PROCESSED:
-            return None
-        if cbs is None:
-            return ()
-        if type(cbs) is list:
-            return tuple(cbs)
-        return (cbs,)
-
-    @property
     def value(self) -> Any:
-        """The value the event was triggered with.
-
-        Raises the failure exception if the event failed.
-        """
-        if self._exception is not None:
-            raise self._exception
+        """The value the event was triggered with."""
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+        """Trigger the event with ``value``."""
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
         self.env._fifo.append(self)  # triggers at the current time
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        Processes waiting on the event will have ``exception`` raised at their
-        ``yield`` statement.
-        """
-        if self._triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._exception = exception
-        self.env._fifo.append(self)  # triggers at the current time
-        return self
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback`` to run when the event is processed."""
-        cbs = self._callbacks
-        if cbs is _PROCESSED:
-            # Already processed: run immediately so late waiters still resume.
-            callback(self)
-        elif cbs is None:
-            self._callbacks = callback
-        elif type(cbs) is list:
-            cbs.append(callback)
-        else:
-            self._callbacks = [cbs, callback]
-
-    def _run_callbacks(self) -> None:
-        cbs = self._callbacks
-        self._callbacks = _PROCESSED
-        if cbs is None or cbs is _PROCESSED:
-            return
-        if type(cbs) is list:
-            for callback in cbs:
-                callback(self)
-        else:
-            cbs(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._callbacks is _PROCESSED else (
@@ -178,54 +72,25 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after ``delay`` simulation time.
+    """An event born triggered at an absolute time: what ``env.at`` returns."""
 
-    Timeouts are created once per tick of every periodic loop, so the
-    constructor is pared to the bone: ``_exception`` and ``defused`` are
-    class-level constants (shadowing the :class:`Event` slots) because a
-    timeout can never fail — reads fall through to the class, and the two
-    per-instance writes are saved.  ``fail()`` on a timeout is already
-    impossible: it is born triggered.  As a consequence these two
-    attributes are *read-only* on timeouts: ``timeout.defused = True``
-    raises ``AttributeError`` — which is correct, since there can never be
-    a failure to defuse.
+    __slots__ = ()
+
+
+class AllOf(Event):
+    """Triggers once every child event has been processed.
+
+    Its value is a dict from child event to that child's value.  One is
+    built per fan-out (replica starts, the platform's session join).
     """
-
-    __slots__ = ("delay",)
-
-    _exception = None
-    defused = False
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.env = env
-        self.delay = delay
-        self._callbacks = None
-        self._value = value
-        self._triggered = True
-        now = env._now
-        time = now + delay
-        if time == now:
-            env._fifo.append(self)
-        else:
-            env._push(time, self)
-
-
-class ConditionEvent(Event):
-    """Base class for events composed of several child events."""
 
     __slots__ = ("events", "_completed")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        # Event.__init__ and add_callback inlined: one AllOf is built per
-        # fan-out (replica starts, session joins), right on the hot path.
         self.env = env
         self._callbacks = None
         self._value = None
-        self._exception = None
         self._triggered = False
-        self.defused = False
         if type(events) is not list:
             events = list(events)
         self.events = events
@@ -246,68 +111,9 @@ class ConditionEvent(Event):
                 event._callbacks = [cbs, on_child]
 
     def _on_child(self, event: Event) -> None:
-        # ``event.ok`` inlined: _on_child only ever sees processed (and
-        # therefore triggered) events, so "not ok" reduces to "failed".
-        if event._exception is not None:
-            # The condition adopts the child's failure: it either propagates
-            # it to its own waiters below, or (if already triggered) absorbs
-            # it — either way the child's failure is handled.
-            event.defused = True
-            if not self._triggered:
-                self.fail(event._exception)  # noqa: SLF001 - intentional propagation
-            return
-        if self._triggered:
-            return
-        self._completed[event] = event._value
-        if self._is_satisfied():
-            # _completed is never mutated after triggering, so it is handed
-            # out as the value without a defensive copy.
-            self.succeed(self._completed)
-
-    def _is_satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Triggers once *all* child events have triggered successfully."""
-
-    __slots__ = ()
-
-    def _is_satisfied(self) -> bool:
-        return len(self._completed) == len(self.events)
-
-    def _on_child(self, event: Event) -> None:
-        # ConditionEvent._on_child with the satisfaction check and the
-        # ``ok`` property inlined: one AllOf child completes per replica
-        # start / session join, so both dispatches are worth skipping.
-        if event._exception is not None:
-            event.defused = True
-            if not self._triggered:
-                self.fail(event._exception)  # noqa: SLF001
-            return
-        if self._triggered:
-            return
         completed = self._completed
-        completed[event] = event._value  # noqa: SLF001
+        completed[event] = event._value
         if len(completed) == len(self.events):
+            # _completed is never mutated after this, so it is handed out
+            # as the value without a defensive copy.
             self.succeed(completed)
-
-
-class AnyOf(ConditionEvent):
-    """Triggers once *any* child event has triggered successfully."""
-
-    __slots__ = ()
-
-    def _is_satisfied(self) -> bool:
-        return len(self._completed) >= 1
-
-    def _on_child(self, event: Event) -> None:
-        if event._exception is not None:
-            event.defused = True
-            if not self._triggered:
-                self.fail(event._exception)  # noqa: SLF001
-            return
-        if self._triggered:
-            return
-        self._completed[event] = event._value  # noqa: SLF001
-        self.succeed(self._completed)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.api import RunSpec, Simulation
 from repro.policies.batch import BatchPolicy
-from repro.simulation import Environment, Interrupt
+from repro.simulation import Environment
 
 
 class PollingBatchPolicy(BatchPolicy):
@@ -69,8 +69,8 @@ def tie_rule_applies(oracle: PollingBatchPolicy) -> bool:
     of the job it handed the head to.
 
     Each recorded instant is a point of the leaving head's own grid (the
-    engine made its float additions) or an interrupt time; the new head's
-    grid is replayed from its arrival.
+    engine made its float additions); the new head's grid is replayed from
+    its arrival.
     """
     interval = oracle.queue_poll_interval_s
     return any(on_later_grid(arrival, interval, instant)
@@ -86,9 +86,7 @@ class ScriptedCluster:
     Free GPUs at ``now`` are the last scripted step at or before ``now``
     minus the GPUs of jobs holding at ``now``, each job holding over
     ``[acquired, acquired + hold)``.  So reads at one instant agree
-    whatever order that instant's queue entries run in.  ``on_grant`` maps
-    a grant's number to processes to interrupt from inside that poll,
-    before the polling head gets its host and leaves.
+    whatever order that instant's queue entries run in.
     """
 
     def __init__(self, env, steps) -> None:
@@ -96,8 +94,6 @@ class ScriptedCluster:
         self.steps = sorted(steps)
         self.holds = []
         self.polls = []
-        self.grants = 0
-        self.on_grant = {}
 
     def most_idle_host(self, gpus):
         now = self.env.now
@@ -109,9 +105,6 @@ class ScriptedCluster:
         held = sum(g for start, end, g in self.holds if start <= now < end)
         if capacity - held < gpus:
             return None
-        for process in self.on_grant.get(self.grants, ()):
-            process.interrupt("cancelled")
-        self.grants += 1
         return self
 
 
@@ -121,62 +114,36 @@ class StubPlatform:
     def __init__(self, steps) -> None:
         self.env = Environment()
         self.cluster = ScriptedCluster(self.env, steps)
-        self.tickets = []
-        create = self.env.event
-
-        def recording_event():
-            ticket = create()
-            self.tickets.append(ticket)
-            return ticket
-
-        self.env.event = recording_event
 
 
-def replay(policy, jobs, steps, interrupts=(), on_grant=()):
+def replay(policy, jobs, steps):
     """Run ``jobs`` — ``(arrival, gpus, hold)`` each — through ``policy``.
 
-    ``interrupts`` are ``(time, job index)`` pairs, and ``on_grant`` are
-    ``(grant number, job index)`` pairs (see :class:`ScriptedCluster`).
-    Returns the log of acquisitions and interrupts, the poll instants, and
-    the platform.  The queue must be empty once the run ends.
+    Returns the log of acquisitions and the poll instants.  The queue must
+    be empty once the run ends.
     """
     platform = StubPlatform(steps)
     env = platform.env
     log = []
 
     def job(index, arrival, gpus, hold):
-        try:
-            yield env.at(arrival)
-            yield from policy._acquire_host(platform, gpus)
-        except Interrupt:
-            log.append(("interrupted", index, env.now))
-            return
+        yield env.at(arrival)
+        yield from policy._acquire_host(platform, gpus)
         platform.cluster.holds.append((env.now, env.now + hold, gpus))
         log.append(("acquired", index, env.now))
 
-    processes = [env.process(job(index, *spec))
-                 for index, spec in enumerate(jobs)]
-
-    def interrupter(time, index):
-        yield env.at(time)
-        processes[index].interrupt("cancelled")
-
-    for time, index in interrupts:
-        env.process(interrupter(time, index))
-    for grant, index in on_grant:
-        platform.cluster.on_grant.setdefault(grant, []).append(
-            processes[index])
+    for index, spec in enumerate(jobs):
+        env.process(job(index, *spec))
     env.run()
     assert not policy._queue
-    return log, platform.cluster.polls, platform
+    return log, platform.cluster.polls
 
 
 # ----------------------------------------------------------------------
 # Differential against the oracle.
 # ----------------------------------------------------------------------
-#: Instants on a 0.5 s lattice, so arrivals, capacity steps, interrupts and
-#: poll grids often coincide, or tenths of a second, which floats cannot
-#: hold exactly.
+#: Instants on a 0.5 s lattice, so arrivals, capacity steps and poll grids
+#: often coincide, or tenths of a second, which floats cannot hold exactly.
 instants = (st.integers(0, 120).map(lambda n: n * 0.5)
             | st.integers(0, 600).map(lambda n: n * 0.1))
 #: After every scripted step, enough capacity for any job, so queues drain.
@@ -192,24 +159,7 @@ def queue_scenarios(draw):
         min_size=1, max_size=8))
     steps = draw(st.lists(st.tuples(instants, st.integers(0, 3)),
                           max_size=4))
-    victims = st.integers(0, len(jobs) - 1)
-    interrupts = []
-    for _ in range(draw(st.integers(0, 3))):
-        if draw(st.booleans()):
-            time = draw(instants)
-        else:
-            # A point of some job's poll grid, where it polls if it is the
-            # head: the interrupt is queued before that poll runs.
-            time = jobs[draw(victims)][0]
-            for _ in range(draw(st.integers(0, 6))):
-                time += interval
-        interrupts.append((time, draw(victims)))
-    # Interrupts queued from inside a poll that finds a host: a victim
-    # queued right behind the head is handed the head before its interrupt
-    # is delivered.
-    on_grant = draw(st.lists(st.tuples(st.integers(0, 7), victims),
-                             max_size=6))
-    return interval, jobs, steps + [FINAL_STEP], interrupts, on_grant
+    return interval, jobs, steps + [FINAL_STEP]
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,70 +167,27 @@ def queue_scenarios(draw):
 def test_head_only_polling_matches_the_polling_oracle(scenario):
     interval, *inputs = scenario
     oracle = PollingBatchPolicy(interval)
-    expected_log, expected_polls, _ = replay(oracle, *inputs)
+    expected = replay(oracle, *inputs)
     # Only inputs where the tie rule applies are excluded: there the new
     # head polls at the handoff instant, and the oracle's follower polls
     # then or one interval later depending on the order of the two queue
     # entries at that instant.  The explicit cases below cover them.
     assume(not tie_rule_applies(oracle))
-    log, polls, _ = replay(BatchPolicy(interval), *inputs)
-    assert log == expected_log
-    assert polls == expected_polls
-
-
-def test_interrupted_head_hands_off_on_the_followers_grid():
-    jobs = [(0.0, 1, 5.0), (1.0, 1, 5.0)]
-    steps = [(20.0, 1)]
-    interrupts = [(7.0, 0)]
-    expected = replay(PollingBatchPolicy(), jobs, steps, interrupts)
-    log, polls, _ = replay(BatchPolicy(), jobs, steps, interrupts)
-    assert (log, polls) == expected[:2]
-    assert log == [("interrupted", 0, 7.0), ("acquired", 1, 21.0)]
-    # The head polls on its grid; the follower first polls on its own grid
-    # (arrival 1.0) at the first instant after the 7.0 s handoff.
-    assert polls == [0.0, 5.0, 11.0, 16.0, 21.0]
+    assert replay(BatchPolicy(interval), *inputs) == expected
 
 
 def test_first_poll_after_a_handoff_lands_exactly_on_the_grid():
-    # The follower sleeps from the 1.1 s handoff to exactly 0.2 + 5.0; a
-    # relative sleep of (5.2 - 1.1) would wake it at 5.199999999999999.
+    # The head gets a host at 5.0 and hands the head to the follower, which
+    # sleeps until exactly 0.2 + 5.0, the next instant of its own grid.
+    # The head leaves only at one of its own poll instants t >= 5.0, so
+    # the follower's next instant is below 2t and a relative sleep of
+    # (5.2 - t) would land there exactly too; this pins the instant itself.
     jobs = [(0.0, 1, 5.0), (0.2, 1, 5.0)]
-    steps = [(5.0, 1)]
-    interrupts = [(1.1, 0)]
-    expected = replay(PollingBatchPolicy(), jobs, steps, interrupts)
-    log, polls, _ = replay(BatchPolicy(), jobs, steps, interrupts)
-    assert (log, polls) == expected[:2]
-    assert polls == [0.0, 0.2 + 5.0]
-
-
-def test_interrupted_parked_follower_leaves_the_queue():
-    jobs = [(0.0, 1, 5.0), (1.0, 1, 5.0), (2.0, 1, 5.0)]
-    steps = [(10.0, 2)]
-    interrupts = [(3.0, 1)]
-    expected = replay(PollingBatchPolicy(), jobs, steps, interrupts)
-    log, polls, platform = replay(BatchPolicy(), jobs, steps, interrupts)
-    assert (log, polls) == expected[:2]
-    assert log == [("interrupted", 1, 3.0), ("acquired", 0, 10.0),
-                   ("acquired", 2, 12.0)]
-    # The interrupted follower was never handed the head.
-    assert not platform.tickets[1].triggered
-
-
-def test_follower_interrupted_after_handoff_before_resuming():
-    """The interrupter wakes at 10.0 ahead of the head's poll there, so the
-    interrupt is queued first; the head then gets a host and hands the head
-    to job 1, whose interrupt lands before its ticket does.  Job 1 must pass
-    the head straight on to job 2 without polling."""
-    jobs = [(0.0, 1, 5.0), (1.0, 1, 5.0), (2.0, 1, 5.0)]
-    steps = [(10.0, 3)]
-    interrupts = [(10.0, 1)]
-    expected = replay(PollingBatchPolicy(), jobs, steps, interrupts)
-    log, polls, platform = replay(BatchPolicy(), jobs, steps, interrupts)
-    assert (log, polls) == expected[:2]
-    assert log == [("acquired", 0, 10.0), ("interrupted", 1, 10.0),
-                   ("acquired", 2, 12.0)]
-    assert polls == [0.0, 5.0, 10.0, 12.0]
-    assert platform.tickets[1].triggered and platform.tickets[2].triggered
+    steps = [(5.0, 2)]
+    log, polls = replay(BatchPolicy(), jobs, steps)
+    assert (log, polls) == replay(PollingBatchPolicy(), jobs, steps)
+    assert log == [("acquired", 0, 5.0), ("acquired", 1, 0.2 + 5.0)]
+    assert polls == [0.0, 5.0, 0.2 + 5.0]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Property-style determinism tests for the simulation engine.
 
-These are the regression net for the fast-path engine: randomized
-process/timeout/interrupt structures are generated from a seed and executed
-twice, and the two runs must produce bit-identical execution traces.  On top
-of the raw engine, a full platform experiment must serialize identically
-across (a) two independent runs and (b) a JSON round-trip of the resulting
-:class:`~repro.metrics.collector.MetricsCollector`.
+These are the regression net for the engine: randomized process
+structures are generated from a seed and executed twice, the two runs must
+produce bit-identical execution traces, and the traces of fixed seeds are
+pinned.  On top of the raw engine, a full platform experiment must
+serialize identically across (a) two independent runs and (b) a JSON
+round-trip of the resulting :class:`~repro.metrics.collector.MetricsCollector`.
 """
 
 import ast
@@ -33,7 +33,7 @@ from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult, MetricsCollector
 from repro.qos.targets import QosConfig
 from repro.shard import ShardPlan, run_sharded
-from repro.simulation import AllOf, AnyOf, Environment, Interrupt, SeededRandom
+from repro.simulation import AllOf, Environment, SeededRandom
 from repro.statesync.ast_analysis import clear_ast_cache
 from repro.workload import AdobeTraceGenerator
 
@@ -45,55 +45,57 @@ def run_random_structure(seed: int) -> list:
     """Build and run a random process structure; return its execution trace.
 
     The structure mixes every engine primitive the simulator relies on:
-    plain number sleeps, ``Timeout`` events, child processes joined with
-    ``AllOf``/``AnyOf``, bare events signalled across processes, and
-    interrupts — all chosen by a seeded PRNG so the same seed always builds
-    the same structure.
+    number sleeps, ``env.at`` wake-ups, ``env.defer`` callbacks, bare events
+    signalled and awaited across processes, and child processes joined with
+    ``AllOf`` or awaited one at a time.  One seeded PRNG picks each step as
+    the step runs, so the structure itself depends on the dispatch order.
     """
     rng = random.Random(seed)
     env = Environment()
     trace: list = []
     signals = [env.event() for _ in range(rng.randint(1, 4))]
 
+    def note(*entry):
+        return lambda _stub: trace.append(entry + (env.now,))
+
     def worker(wid: int, depth: int):
         for step in range(rng.randint(1, 5)):
             choice = rng.random()
-            if choice < 0.35:
+            if choice < 0.3:
                 delay = rng.choice([0.0, 0.5, 1.0, 1.5, rng.random()])
                 if rng.random() < 0.5:
-                    yield delay                      # number sleep
+                    yield delay
                 else:
-                    yield env.timeout(delay)         # classic timeout
+                    yield env.at(env.now + delay)
                 trace.append(("slept", wid, step, env.now))
-            elif choice < 0.55 and depth < 2:
+            elif choice < 0.5 and depth < 2:
                 children = [env.process(worker(wid * 10 + c, depth + 1))
                             for c in range(rng.randint(1, 3))]
-                joiner = AllOf if rng.random() < 0.7 else AnyOf
-                yield joiner(env, children)
-                trace.append(("joined", wid, step, env.now))
-            elif choice < 0.75 and signals:
+                if rng.random() < 0.7:
+                    done = yield AllOf(env, children)
+                    trace.append(("joined", wid, step, len(done), env.now))
+                else:
+                    for child in children:
+                        value = yield child
+                        trace.append(("awaited", wid, step, value, env.now))
+            elif choice < 0.65:
                 signal = rng.choice(signals)
                 if not signal.triggered:
                     signal.succeed((wid, step))
                     trace.append(("signalled", wid, step, env.now))
                 yield rng.random() * 0.2
+            elif choice < 0.8:
+                value = yield rng.choice(signals)
+                trace.append(("woken", wid, step, value, env.now))
             else:
-                try:
-                    yield rng.choice([5.0, 10.0, 20.0])
-                    trace.append(("long-nap", wid, step, env.now))
-                except Interrupt as interrupt:
-                    trace.append(("interrupted", wid, step,
-                                  interrupt.cause, env.now))
+                env.defer(rng.choice([0.0, 0.25, 2.0, rng.random()]),
+                          note("deferred", wid, step))
+                yield rng.choice([5.0, 10.0, 20.0])
+                trace.append(("long-nap", wid, step, env.now))
+        return wid
 
-    workers = [env.process(worker(i, 0)) for i in range(rng.randint(2, 6))]
-
-    def interrupter():
-        for round_no in range(rng.randint(1, 4)):
-            yield rng.random() * 3.0
-            victim = rng.choice(workers)
-            if victim.is_alive:
-                victim.interrupt(f"round-{round_no}")
-                trace.append(("interrupt-sent", round_no, env.now))
+    for i in range(rng.randint(2, 6)):
+        env.process(worker(i, 0))
 
     def late_signaller():
         yield rng.random() * 2.0
@@ -102,11 +104,14 @@ def run_random_structure(seed: int) -> list:
                 signal.succeed("late")
                 trace.append(("late-signal", env.now))
 
-    env.process(interrupter())
     env.process(late_signaller())
     env.run(until=60.0)
     trace.append(("final", env.now))
     return trace
+
+
+def _trace_digest(trace: list) -> str:
+    return hashlib.sha256(repr(trace).encode()).hexdigest()[:16]
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,6 +125,22 @@ def test_different_seeds_produce_different_traces():
     # constant trace would make the property above vacuous).
     traces = {tuple(map(repr, run_random_structure(seed))) for seed in range(8)}
     assert len(traces) > 1
+
+
+#: sha256 prefixes of ``repr(run_random_structure(seed))``, recorded on the
+#: calendar-queue engine that the single-heap engine replaced.  They pin
+#: the dispatch order of every primitive without keeping the old engine.
+RANDOM_STRUCTURE_DIGESTS = {
+    0: "1bc596deb8359e77", 1: "d210834ff84ed88b", 2: "2140a4cf74e927b8",
+    3: "25aa477a1f05fa16", 4: "c3567acf6ad35de9", 5: "21fc28a675db5b81",
+    6: "5f0822722b493790", 7: "83836306ca7dd4ec", 8: "cda80223337d03f4",
+    9: "05e824fd46d56f7f", 10: "c8b0ed30c6692682", 11: "33a1621055f8ddac",
+}
+
+
+def test_random_structure_traces_are_pinned():
+    assert {seed: _trace_digest(run_random_structure(seed))
+            for seed in RANDOM_STRUCTURE_DIGESTS} == RANDOM_STRUCTURE_DIGESTS
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +342,32 @@ def test_failure_storm_k2_serial_digest_is_pinned():
     spec = RunSpec.from_scenario("failure_storm")
     sharded = run_sharded(spec, 2, parallel=False)
     assert _digest(sharded.result)[:16] == FAILURE_STORM_K2_DIGEST
+
+
+# ----------------------------------------------------------------------
+# Pinned engine work.
+# ----------------------------------------------------------------------
+#: ``dispatch_stats()`` after ``Simulation.from_scenario(scenario,
+#: policy=policy).run()`` at the default seeds: entries dispatched, fused
+#: same-timestamp batches, heap serials.  Exact counts, so any change in
+#: engine work fails here without a timing band; a change that moves engine
+#: work on purpose re-pins them and says so.
+DISPATCH_COUNTS = {
+    ("smoke", "notebookos"): (1263, 868, 1090),
+    ("smoke", "batch"): (1147, 795, 924),
+    ("smoke", "lcp"): (1258, 906, 1044),
+    ("smoke", "reservation"): (886, 631, 767),
+    ("failure_storm", "notebookos"): (8499, 7176, 7367),
+}
+
+
+@pytest.mark.parametrize("scenario,policy", sorted(DISPATCH_COUNTS))
+def test_dispatch_counts_are_pinned(scenario, policy):
+    simulation = Simulation.from_scenario(scenario, policy=policy)
+    simulation.run()
+    stats = simulation.platform.env.dispatch_stats()
+    assert (stats["dispatched"], stats["batches"], stats["serials"]) == \
+        DISPATCH_COUNTS[scenario, policy]
 
 
 # ----------------------------------------------------------------------

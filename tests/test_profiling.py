@@ -33,14 +33,12 @@ def test_profiled_run_is_bit_identical_and_report_is_consistent():
     assert all(seconds >= 0.0 for seconds in report.phases.values())
     assert report.wall_time_s == sum(report.phases.values())
 
-    # Engine dispatch counters: a run dispatches entries in batches, every
-    # batch holds at least one entry, and the smoke scenario's long sleeps
-    # must have exercised the overflow/rebase machinery.
+    # Engine dispatch counters: a run dispatches entries in batches, and
+    # every batch holds at least one entry.
     dispatch = report.dispatch
     assert dispatch["dispatched"] > 0
     assert 0 < dispatch["batches"] <= dispatch["dispatched"]
     assert report.batch_fusion >= 1.0
-    assert dispatch["rebases"] > 0
     assert report.events_per_sec > 0
 
     # Event-class counters must agree with the collector's ground truth.

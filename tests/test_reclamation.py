@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import RunSpec, Simulation
 from repro.experiments.scenarios import build_trace
-from repro.simulation import Environment, Interrupt
+from repro.simulation import Environment
 
 EPOCHS = 16
 
@@ -123,28 +123,3 @@ def test_finished_process_drops_its_self_references():
         if enabled:
             gc.enable()
 
-
-def test_stale_sleep_stub_after_finish_is_ignored():
-    """A process interrupted away from a sleep, which then finishes, leaves
-    its old stub queued; the stub still wakes nothing when it pops."""
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10.0
-        except Interrupt as interrupt:
-            log.append(("interrupted", env.now, interrupt.cause))
-        return "finished early"
-
-    def interrupter(victim):
-        yield 1.0
-        victim.interrupt("stop")
-
-    victim = env.process(sleeper())
-    env.process(interrupter(victim))
-    env.run()
-    assert log == [("interrupted", 1.0, "stop")]
-    assert victim.value == "finished early"
-    # The stale 10 s stub still popped (the clock reached it) and was ignored.
-    assert env.now == 10.0

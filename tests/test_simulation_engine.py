@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.simulation import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.api import Simulation
+from repro.core import ClusterConfig
+from repro.simulation import AllOf, Environment, SimulationError
+from repro.simulation.engine import SAME_TIME_BUDGET
 
 
 def test_clock_starts_at_zero():
@@ -20,7 +17,7 @@ def test_timeout_advances_clock():
     env = Environment()
 
     def proc():
-        yield env.timeout(5.0)
+        yield env.at(5.0)
         return env.now
 
     process = env.process(proc())
@@ -31,22 +28,29 @@ def test_timeout_advances_clock():
 
 def test_negative_timeout_rejected():
     env = Environment()
+    env.run(until=2.0)
     with pytest.raises(ValueError):
-        env.timeout(-1.0)
+        env.at(1.0)
 
 
-@pytest.mark.parametrize("entry", ["timeout", "at", "defer", "schedule",
-                                   "run"])
+def _sleep_nan(env):
+    def sleeper():
+        yield float("nan")
+
+    env.process(sleeper())
+    env.run()
+
+
+@pytest.mark.parametrize("entry", ["sleep", "at", "defer", "run"])
 def test_nan_time_rejected(entry):
     # NaN compares false with everything, so each check is written to fail
     # on it: it raises the error the entry point raises for a past time.
     env = Environment()
     nan = float("nan")
     calls = {
-        "timeout": (ValueError, lambda: env.timeout(nan)),
+        "sleep": (SimulationError, lambda: _sleep_nan(env)),
         "at": (ValueError, lambda: env.at(nan)),
         "defer": (SimulationError, lambda: env.defer(nan, lambda _: None)),
-        "schedule": (SimulationError, lambda: env.schedule(env.event(), nan)),
         "run": (SimulationError, lambda: env.run(until=nan)),
     }
     error, call = calls[entry]
@@ -60,7 +64,7 @@ def test_processes_interleave_in_time_order():
     order = []
 
     def worker(name, delay):
-        yield env.timeout(delay)
+        yield delay
         order.append((name, env.now))
 
     env.process(worker("b", 2.0))
@@ -76,7 +80,7 @@ def test_run_until_time_stops_clock_at_limit():
 
     def ticker():
         while True:
-            yield env.timeout(1.0)
+            yield 1.0
             seen.append(env.now)
 
     env.process(ticker())
@@ -102,31 +106,13 @@ def test_event_succeed_delivers_value():
         results.append(value)
 
     def trigger():
-        yield env.timeout(2.0)
+        yield 2.0
         event.succeed("payload")
 
     env.process(waiter())
     env.process(trigger())
     env.run()
     assert results == ["payload"]
-
-
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    event = env.event()
-
-    def waiter():
-        with pytest.raises(RuntimeError, match="boom"):
-            yield event
-        return "handled"
-
-    def trigger():
-        yield env.timeout(1.0)
-        event.fail(RuntimeError("boom"))
-
-    process = env.process(waiter())
-    env.process(trigger())
-    assert env.run(until=process) == "handled"
 
 
 def test_event_cannot_trigger_twice():
@@ -141,7 +127,7 @@ def test_process_return_value_propagates_to_waiters():
     env = Environment()
 
     def child():
-        yield env.timeout(1.0)
+        yield 1.0
         return 42
 
     def parent():
@@ -152,40 +138,19 @@ def test_process_return_value_propagates_to_waiters():
     assert env.run(until=process) == 84
 
 
-def test_process_exception_propagates_to_waiters():
-    env = Environment()
-
-    def child():
-        yield env.timeout(1.0)
-        raise ValueError("child failed")
-
-    def parent():
-        try:
-            yield env.process(child())
-        except ValueError as exc:
-            return str(exc)
-
-    process = env.process(parent())
-    assert env.run(until=process) == "child failed"
-
-
 def test_yielding_non_event_fails_the_process():
     env = Environment()
 
     def bad():
         yield "not-an-event"
 
-    def parent():
-        with pytest.raises(SimulationError):
-            yield env.process(bad())
-        return "ok"
-
-    process = env.process(parent())
-    assert env.run(until=process) == "ok"
+    env.process(bad(), name="bad-yield")
+    with pytest.raises(SimulationError, match="bad-yield"):
+        env.run()
 
 
 def test_yielding_number_sleeps():
-    """``yield delay`` is the allocation-free equivalent of a timeout."""
+    """``yield delay`` parks the process without allocating an event."""
     env = Environment()
     log = []
 
@@ -207,17 +172,13 @@ def test_yielding_negative_number_fails_the_process():
     def bad():
         yield -1.0
 
-    def parent():
-        with pytest.raises(SimulationError):
-            yield env.process(bad())
-        return "ok"
-
-    process = env.process(parent())
-    assert env.run(until=process) == "ok"
+    env.process(bad(), name="backwards")
+    with pytest.raises(SimulationError, match="backwards"):
+        env.run()
 
 
 def test_number_sleep_schedules_identically_to_timeout():
-    """Mixed timeout/number sleeps interleave in the same global order."""
+    """Number sleeps and ``env.at`` wake-ups interleave in the same order."""
     def run(use_numbers):
         env = Environment()
         order = []
@@ -226,7 +187,7 @@ def test_number_sleep_schedules_identically_to_timeout():
             if use_numbers:
                 yield delay
             else:
-                yield env.timeout(delay)
+                yield env.at(env.now + delay)
             order.append((name, env.now))
 
         for name, delay in [("a", 1.0), ("b", 1.0), ("c", 0.5), ("d", 1.5)]:
@@ -237,192 +198,17 @@ def test_number_sleep_schedules_identically_to_timeout():
     assert run(True) == run(False)
 
 
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-            log.append("slept")
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, env.now))
-
-    def interrupter(target):
-        yield env.timeout(3.0)
-        target.interrupt("wake up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [("interrupted", "wake up", 3.0)]
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        return env.now
-
-    def interrupter(target):
-        yield env.timeout(5.0)
-        target.interrupt()
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    assert env.run(until=target) == 6.0
-
-
 def test_allof_waits_for_every_event():
     env = Environment()
 
     def proc():
-        timeouts = [env.timeout(d, value=d) for d in (1.0, 3.0, 2.0)]
-        yield AllOf(env, timeouts)
+        timeouts = [env.at(d, value=d) for d in (1.0, 3.0, 2.0)]
+        values = yield AllOf(env, timeouts)
+        assert sorted(values.values()) == [1.0, 2.0, 3.0]
         return env.now
 
     process = env.process(proc())
     assert env.run(until=process) == 3.0
-
-
-def test_anyof_returns_on_first_event():
-    env = Environment()
-
-    def proc():
-        timeouts = [env.timeout(d, value=d) for d in (4.0, 1.5, 3.0)]
-        yield AnyOf(env, timeouts)
-        return env.now
-
-    process = env.process(proc())
-    assert env.run(until=process) == 1.5
-
-
-def test_interrupt_while_waiting_ignores_stale_wakeup():
-    """An interrupted process must not be woken by the event it abandoned."""
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(10.0)
-            log.append(("woke-from-timeout", env.now))
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, env.now))
-        # Re-wait: the abandoned 10s timeout still fires at t=10 but must be
-        # ignored as stale; only the new 20s sleep may resume the process.
-        yield env.timeout(20.0)
-        log.append(("woke-from-second", env.now))
-
-    def interrupter(target):
-        yield env.timeout(3.0)
-        target.interrupt("migrate")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run(until=target)
-    assert log == [("interrupted", "migrate", 3.0), ("woke-from-second", 23.0)]
-
-
-def test_interrupt_while_waiting_on_shared_event_leaves_event_intact():
-    """Interrupting one waiter must not consume the event for other waiters."""
-    env = Environment()
-    shared = env.event()
-    log = []
-
-    def waiter(name):
-        try:
-            value = yield shared
-            log.append((name, "got", value, env.now))
-        except Interrupt:
-            log.append((name, "interrupted", env.now))
-
-    first = env.process(waiter("first"))
-    env.process(waiter("second"))
-
-    def driver():
-        yield env.timeout(1.0)
-        first.interrupt()
-        yield env.timeout(1.0)
-        shared.succeed("payload")
-
-    env.process(driver())
-    env.run()
-    assert ("first", "interrupted", 1.0) in log
-    assert ("second", "got", "payload", 2.0) in log
-
-
-def test_unhandled_event_failure_escalates_from_run():
-    """A failed event nobody waits on must not vanish silently."""
-    env = Environment()
-    event = env.event()
-
-    def failer():
-        yield env.timeout(1.0)
-        event.fail(RuntimeError("nobody handles this"))
-
-    env.process(failer())
-    with pytest.raises(RuntimeError, match="nobody handles this"):
-        env.run()
-
-
-def test_defused_failure_does_not_escalate():
-    """Setting defused marks the failure as handled out-of-band."""
-    env = Environment()
-    event = env.event()
-
-    def failer():
-        yield env.timeout(1.0)
-        event.fail(RuntimeError("pre-acknowledged"))
-        event.defused = True
-
-    env.process(failer())
-    env.run()  # must not raise
-    assert event.defused and not event.ok
-
-
-def test_waiter_defuses_failure_automatically():
-    env = Environment()
-    event = env.event()
-
-    def waiter():
-        try:
-            yield event
-        except RuntimeError:
-            pass
-
-    def failer():
-        yield env.timeout(1.0)
-        event.fail(RuntimeError("handled by waiter"))
-
-    env.process(waiter())
-    env.process(failer())
-    env.run()  # the waiter absorbed the failure; nothing escalates
-    assert event.defused
-
-
-def test_uncaught_interrupt_kills_process_without_escalating():
-    """Interrupt-to-death is cancellation, not an engine-level error."""
-    env = Environment()
-
-    def stubborn():
-        yield env.timeout(100.0)  # never catches Interrupt
-
-    target = env.process(stubborn())
-    def killer():
-        yield env.timeout(1.0)
-        target.interrupt("shutdown")
-
-    env.process(killer())
-    env.run()  # must not raise
-    assert not target.is_alive
-    assert target.defused
-    with pytest.raises(Interrupt):
-        _ = target.value
 
 
 def test_unhandled_process_crash_escalates_from_run():
@@ -430,12 +216,70 @@ def test_unhandled_process_crash_escalates_from_run():
     env = Environment()
 
     def crasher():
-        yield env.timeout(1.0)
+        yield 1.0
         raise ValueError("bug in background process")
 
     env.process(crasher())
     with pytest.raises(ValueError, match="bug in background process"):
         env.run()
+
+
+def test_run_until_event_leaves_the_rest_queued():
+    env = Environment()
+    fired = []
+    signal = env.event()
+
+    def trigger():
+        yield 1.0
+        signal.succeed("go")
+        env.defer(0.0, lambda _s: fired.append("behind"))
+
+    env.process(trigger())
+    env.defer(2.0, lambda _s: fired.append("later"))
+    assert env.run(until=signal) == "go"
+    assert env.now == 1.0 and fired == []
+    env.run()
+    assert fired == ["behind", "later"]
+
+
+def test_run_until_event_raises_if_the_queue_drains_first():
+    env = Environment()
+    never = env.event()
+    env.defer(1.0, lambda _s: None)
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=never)
+
+
+def test_same_time_livelock_raises_naming_the_timestamp():
+    env = Environment()
+    spins = [0]
+
+    def spinner():
+        yield 2.5
+        while True:
+            spins[0] += 1
+            yield 0.0
+
+    env.process(spinner())
+    with pytest.raises(SimulationError, match="livelock.* 2.5"):
+        env.run()
+    assert env.now == 2.5
+    # The bootstrap ran at 0.0; the budget covers everything at 2.5.
+    assert env.dispatch_stats()["dispatched"] == 1 + SAME_TIME_BUDGET
+    assert spins[0] == SAME_TIME_BUDGET
+
+
+@pytest.mark.slow
+def test_reservation_livelock_at_max_hosts_raises():
+    """Reservation retries ``scale_out`` at the same instant while the
+    fleet is at ``max_hosts``; the run used to hang at t = 1,366.94 s."""
+    simulation = (Simulation.from_scenario("smoke", policy="reservation",
+                                           seed=319, num_sessions=15,
+                                           duration_hours=0.5)
+                  .with_config(cluster_config=ClusterConfig(
+                      initial_hosts=4, min_hosts=1, max_hosts=5)))
+    with pytest.raises(SimulationError, match="livelock.* 1366.94"):
+        simulation.run()
 
 
 def test_determinism_same_structure_same_schedule():
@@ -444,7 +288,7 @@ def test_determinism_same_structure_same_schedule():
         order = []
 
         def worker(name, delay):
-            yield env.timeout(delay)
+            yield delay
             order.append(name)
 
         for name, delay in [("x", 1.0), ("y", 1.0), ("z", 0.5)]:
