@@ -5,6 +5,21 @@ store — AWS S3, Redis, or HDFS — and records only pointers in the Raft log
 (§3.2.4).  The store here models per-backend request latency and throughput,
 plus the node-level cache the paper mentions for limiting repeated reads.
 
+Reads and writes come in halves (:meth:`DistributedDataStore.begin_read` /
+:meth:`~DistributedDataStore.finish_read`, and the same for writes): the
+begin half draws the latency, the caller sleeps it, and the finish half
+records the operation.  :meth:`~DistributedDataStore.read` and
+:meth:`~DistributedDataStore.write` are one-call processes over the halves.
+
+Who passes a node id, and so fills or reads a node cache: only the LCP
+baseline, keyed by host.  Its warm containers on a host serve many cells of
+many sessions, so a session's later cell on the same host can hit the
+model and dataset an earlier cell staged there.  Batch jobs and NotebookOS
+replicas pass none.  Their ids are minted fresh, and the only reads that
+could run under one are that job's own staging reads or a new replica's
+restores, none of which finds its key cached, so a cache keyed by them
+would be filled and never hit.
+
 Figure 11 of the paper (read/write latency CDFs) is reproduced directly from
 this model.
 """
@@ -13,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.simulation.distributions import SeededRandom
 from repro.simulation.engine import Environment
@@ -47,6 +62,9 @@ HDFS_BACKEND = DataStoreBackend(name="hdfs", base_latency_s=0.020, latency_sigma
                                 read_bandwidth_bytes_per_s=550e6)
 
 _BACKENDS = {"s3": S3_BACKEND, "redis": REDIS_BACKEND, "hdfs": HDFS_BACKEND}
+
+#: Latency of a read served from the reading node's cache, in seconds.
+CACHE_HIT_S = 0.001
 
 
 @dataclass
@@ -101,17 +119,14 @@ class DistributedDataStore:
         self.bytes_read = 0
 
     # ------------------------------------------------------------------
-    # Write / read as simulation processes.
+    # Writes and reads, in halves and as simulation processes.
     # ------------------------------------------------------------------
     def write(self, key: str, size_bytes: int, owner: str, node_id: Optional[str] = None):
         """Simulation process: persist an object; returns an :class:`ObjectPointer`."""
         start = self.env.now
         yield self.begin_write(size_bytes)
-        stored = self.finish_write(key, size_bytes, owner, start, node_id)
-        # Built here rather than through pointer_to: Batch stages every job
-        # through this method, and the extra call per write would show.
-        return ObjectPointer(key=key, size_bytes=size_bytes,
-                             version=stored.version, backend=self.backend.name)
+        return self.pointer_to(
+            self.finish_write(key, size_bytes, owner, start, node_id))
 
     def begin_write(self, size_bytes: int) -> float:
         """First half of :meth:`write`: draws and returns the latency.
@@ -151,22 +166,51 @@ class DistributedDataStore:
     def read(self, key: str, node_id: Optional[str] = None):
         """Simulation process: fetch an object; returns its :class:`StoredObject`."""
         start = self.env.now
+        delay, hit = self.begin_read(key, node_id)
+        yield delay
+        return self.finish_read(key, start, node_id, hit)
+
+    def begin_read(self, key: str, node_id: Optional[str] = None
+                   ) -> Tuple[float, bool]:
+        """First half of :meth:`read`: returns ``(delay, hit)``.
+
+        Raises :class:`KeyError` for a missing key before any time passes.
+        A hit in ``node_id``'s cache costs :data:`CACHE_HIT_S` and draws
+        nothing; a miss draws one request latency from the store's stream
+        and adds the transfer time.  The hit or miss is counted here.  A
+        caller that sleeps ``delay`` and then calls :meth:`finish_read`
+        with ``hit`` reads exactly as :meth:`read` does, without a
+        generator of its own.
+        """
         stored = self._objects.get(key)
         if stored is None:
             raise KeyError(f"object {key!r} not found in the data store")
-        if node_id is not None and self._cache_has(node_id, key):
+        if node_id is not None and key in self._node_caches.get(node_id, ()):
             self.cache_hits += 1
-            yield 0.001
-            self.read_latencies.append(self.env.now - start)
-            return stored
+            return CACHE_HIT_S, True
         self.cache_misses += 1
-        latency = self.backend.request_latency(self._rng)
-        latency += stored.size_bytes / self.backend.read_bandwidth_bytes_per_s
-        yield latency
-        self.bytes_read += stored.size_bytes
+        backend = self.backend
+        latency = backend.request_latency(self._rng)
+        return (latency + stored.size_bytes
+                / backend.read_bandwidth_bytes_per_s), False
+
+    def finish_read(self, key: str, start: float,
+                    node_id: Optional[str] = None, hit: bool = False
+                    ) -> StoredObject:
+        """Second half of :meth:`read`, once the delay has elapsed: records
+        a read of ``key`` begun at ``start``; returns the key's current
+        :class:`StoredObject`.
+
+        A miss counts the object's bytes and only now fills ``node_id``'s
+        cache, so another read of the key on that node while this one is
+        in flight misses too.
+        """
+        stored = self._objects[key]
         self.read_latencies.append(self.env.now - start)
-        if node_id is not None:
-            self._cache_put(node_id, key, stored.size_bytes)
+        if not hit:
+            self.bytes_read += stored.size_bytes
+            if node_id is not None:
+                self._cache_put(node_id, key, stored.size_bytes)
         return stored
 
     def delete(self, key: str) -> bool:
@@ -185,11 +229,6 @@ class DistributedDataStore:
     # ------------------------------------------------------------------
     # Node-level cache.
     # ------------------------------------------------------------------
-    def _cache_has(self, node_id: str, key: str) -> bool:
-        cache = self._node_caches.get(node_id, {})
-        stored = self._objects.get(key)
-        return key in cache and stored is not None
-
     def _cache_put(self, node_id: str, key: str, size_bytes: int) -> None:
         cache = self._node_caches.setdefault(node_id, {})
         cache[key] = size_bytes

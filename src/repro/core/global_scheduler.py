@@ -353,7 +353,7 @@ class GlobalScheduler:
                          if obj.size_bytes >= 1024 * 1024]
         if kernel.synchronizer is not None and large_objects:
             yield from kernel.synchronizer.checkpoint_manager.checkpoint_all(
-                large_objects, node_id=victim.replica_id)
+                large_objects)
 
         # Find a target host that can immediately and exclusively bind the GPUs.
         request = ResourceRequest(millicpus=kernel.resource_request.millicpus,
@@ -394,8 +394,7 @@ class GlobalScheduler:
         # The new replica restores persisted state from remote storage.
         if kernel.synchronizer is not None and \
                 kernel.synchronizer.checkpoint_manager.checkpointed_names:
-            yield from kernel.synchronizer.checkpoint_manager.restore_all(
-                node_id=new_replica.replica_id)
+            yield from kernel.synchronizer.checkpoint_manager.restore_all()
 
         # Terminate the original replica and reconfigure the Raft group.
         # The victim's host may have vanished wholesale (failure injection)
@@ -514,7 +513,6 @@ class GlobalScheduler:
             prefer_prewarmed=self.prewarmer.available(target.host_id) > 0)
         if kernel.synchronizer is not None and \
                 kernel.synchronizer.checkpoint_manager.checkpointed_names:
-            yield from kernel.synchronizer.checkpoint_manager.restore_all(
-                node_id=new_replica.replica_id)
+            yield from kernel.synchronizer.checkpoint_manager.restore_all()
         kernel.add_replica(new_replica)
         return new_replica

@@ -106,7 +106,13 @@ class SchedulingPolicy:
 
         Returns the staging latency.  Used by the Batch and LCP baselines,
         which must download the session's model and dataset before every
-        execution (their containers hold no session state).
+        execution (their containers hold no session state).  ``node_id``
+        names the node cache the reads may hit and fill (see
+        :mod:`repro.cluster.datastore` for who passes one).
+
+        Each write and read is the data store's begin half, one ``yield``
+        of its delay and its finish half: the store runs no generator of
+        its own.
         """
         env = platform.env
         start = env.now
@@ -115,27 +121,37 @@ class SchedulingPolicy:
                        else 200 * 1024 ** 2)
         dataset_bytes = (min(assignment.dataset.size_bytes, 4 * 1024 ** 3) if assignment
                          else 1024 ** 3)
-        key_prefix = f"staging/{session.session_id}"
+        model_key = f"staging/{session.session_id}/model"
+        dataset_key = f"staging/{session.session_id}/dataset"
         datastore = platform.datastore
-        if not datastore.contains(f"{key_prefix}/model"):
-            yield from datastore.write(f"{key_prefix}/model", model_bytes,
-                                       owner=owner)
-            yield from datastore.write(f"{key_prefix}/dataset", dataset_bytes,
-                                       owner=owner)
-        yield from datastore.read(f"{key_prefix}/model", node_id=node_id)
-        yield from datastore.read(f"{key_prefix}/dataset", node_id=node_id)
+        if not datastore.contains(model_key):
+            for key, size in ((model_key, model_bytes),
+                              (dataset_key, dataset_bytes)):
+                began = env.now
+                yield datastore.begin_write(size)
+                datastore.finish_write(key, size, owner, began)
+        for key in (model_key, dataset_key):
+            began = env.now
+            delay, hit = datastore.begin_read(key, node_id)
+            yield delay
+            datastore.finish_read(key, began, node_id, hit)
         return env.now - start
 
     @staticmethod
     def persist_model(platform: "NotebookOSPlatform", session: SessionTrace,
                       owner: str, node_id: Optional[str] = None):
-        """Simulation process: write updated model parameters back to storage."""
+        """Simulation process: write updated model parameters back to storage.
+
+        Returns the write's latency; ``node_id`` is as for
+        :meth:`stage_model_and_dataset`.
+        """
         env = platform.env
         start = env.now
         assignment = session.assignment
         model_bytes = (assignment.model.parameter_bytes if assignment
                        else 200 * 1024 ** 2)
-        yield from platform.datastore.write(
-            f"staging/{session.session_id}/model", model_bytes, owner=owner,
-            node_id=node_id)
+        datastore = platform.datastore
+        yield datastore.begin_write(model_bytes)
+        datastore.finish_write(f"staging/{session.session_id}/model",
+                               model_bytes, owner, start, node_id)
         return env.now - start

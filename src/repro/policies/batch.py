@@ -130,8 +130,10 @@ class BatchPolicy(SchedulingPolicy):
         scheduler = platform.cluster.scheduler_for(host.host_id)
         if gpus:
             host.bind_gpus(job_id, gpus, env.now)
-        container = yield from scheduler.runtime.provision(
-            ResourceRequest(gpus=gpus), prewarmed=False)
+        runtime = scheduler.runtime
+        container, wait = runtime.begin_provision(ResourceRequest(gpus=gpus))
+        yield wait
+        runtime.finish_provision(container)
         container.assign(job_id, job_id)
         host.register_container(container.container_id, container)
         provisioning_delay = env.now - queue_start
@@ -140,8 +142,9 @@ class BatchPolicy(SchedulingPolicy):
                                           gs_extra=provisioning_delay))
 
         # Mandatory pre-processing data I/O: stage the model and dataset.
+        # No node id: nothing would ever hit a cache keyed by this job.
         stage_time = yield from self.stage_model_and_dataset(
-            platform, session, owner=job_id, node_id=job_id)
+            platform, session, owner=job_id)
         steps.record("intermediary_interval", stage_time)
 
         metrics.started_at = env.now
@@ -151,7 +154,7 @@ class BatchPolicy(SchedulingPolicy):
 
         # Mandatory post-processing data I/O: persist the updated model.
         persist_time = yield from self.persist_model(
-            platform, session, owner=job_id, node_id=job_id)
+            platform, session, owner=job_id)
         steps.record("kernel_postprocess", persist_time)
 
         if gpus and host.gpus.holds(job_id):
@@ -162,7 +165,7 @@ class BatchPolicy(SchedulingPolicy):
         metrics.status = "ok"
 
         # Container teardown happens after the reply (not on the critical path).
-        platform.spawn_background(scheduler.runtime.terminate(container))
+        platform.spawn_background(runtime.terminate(container))
         return metrics
 
     # ------------------------------------------------------------------

@@ -213,7 +213,7 @@ class NotebookOSPolicy(SchedulingPolicy):
         # the synchronizer schedules its commit and writes on the engine.
         if task.code:
             kernel.synchronizer.replicate(
-                task.code, kernel.namespace_objects(), executor.replica_id,
+                task.code, kernel.namespace_objects(),
                 platform.metrics.raft_sync_latencies)
         return metrics
 

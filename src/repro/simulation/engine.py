@@ -124,7 +124,7 @@ class Process(Event):
             call = self._sleep_call
             call._callbacks = self._resume_cb
             env = self.env
-            now = env._now
+            now = env.now
             time = now + target
             if time == now:
                 env._fifo.append(call)
@@ -152,6 +152,11 @@ class Process(Event):
 class Environment:
     """Owns simulation time and the pending-entry queue.
 
+    ``now`` is the current simulation time, in seconds: a plain slot that
+    every component reads and only the engine writes (in :meth:`run`, as
+    each batch's timestamp is reached).  It is read hundreds of thousands
+    of times per replay, so it is not a property.
+
     ``event``/``at``/``process``/``defer`` are *instance* attributes
     (closures created in ``__init__``) rather than methods, and they are the
     only constructors of :class:`Event`, :class:`Timeout`, :class:`Process`
@@ -160,12 +165,12 @@ class Environment:
     type-call/``__init__`` dispatch, writing the slots directly.
     """
 
-    __slots__ = ("_now", "_counter", "_mint", "_serials", "_heap", "_fifo",
+    __slots__ = ("now", "_counter", "_mint", "_serials", "_heap", "_fifo",
                  "event", "at", "process", "defer",
                  "_stat_disp", "_stat_batches")
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         counter = count()
         self._counter = counter
         mint = counter.__next__
@@ -200,7 +205,7 @@ class Environment:
             absolute wake-up time with the same float additions the
             individual sleeps would make, then schedule one entry there.
             """
-            now = self._now
+            now = self.now
             if not time >= now:  # NaN fails too
                 raise ValueError(
                     f"cannot sleep until {time}: simulation time is already {now}")
@@ -263,7 +268,7 @@ class Environment:
             c = _new(_cls)
             c._callbacks = fn
             c._value = None
-            now = self._now
+            now = self.now
             time = now + delay
             if time == now:
                 fifo_append(c)
@@ -271,11 +276,6 @@ class Environment:
                 heappush(heap, (time, mint(), c))
 
         self.defer = defer
-
-    @property
-    def now(self) -> float:
-        """Current simulation time, in seconds."""
-        return self._now
 
     def next_serial(self, category: str = "") -> int:
         """A per-environment monotonic serial for ``category`` (1, 2, 3, ...).
@@ -301,12 +301,13 @@ class Environment:
         share).  The :mod:`repro.profiling` subsystem snapshots these
         around a run.
         """
-        # itertools.count exposes its next value only through __reduce__;
-        # this is a cold introspection path.
+        # Short of its pickle support (``__reduce__``, deprecated from
+        # Python 3.12 and gone in 3.14), itertools.count exposes its next
+        # value only in its repr, ``count(N)``.
         return {
             "dispatched": self._stat_disp,
             "batches": self._stat_batches,
-            "serials": self._counter.__reduce__()[1][0],
+            "serials": int(repr(self._counter)[6:-1]),
         }
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -325,10 +326,10 @@ class Environment:
         else:
             stop = None
             limit = _INF if until is None else float(until)
-            if not limit >= self._now:  # NaN fails too
+            if not limit >= self.now:  # NaN fails too
                 raise SimulationError(
                     f"cannot run until {limit}: simulation time is already "
-                    f"{self._now}")
+                    f"{self.now}")
         heap = self._heap
         fifo = self._fifo
         popleft = fifo.popleft
@@ -338,9 +339,9 @@ class Environment:
                 if fifo:
                     # Entries at the current time: only possible on entry
                     # to run(), because every batch drains the FIFO lane.
-                    t = self._now
+                    t = self.now
                 elif heap and heap[0][0] <= limit:
-                    t = self._now = heap[0][0]
+                    t = self.now = heap[0][0]
                 else:
                     break
                 n_batches += 1
@@ -384,7 +385,7 @@ class Environment:
             raise SimulationError(
                 "event queue drained before the awaited event triggered")
         if limit != _INF:
-            self._now = limit
+            self.now = limit
         return None
 
     def run_until(self, time: float) -> int:

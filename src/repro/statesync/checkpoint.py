@@ -55,14 +55,13 @@ class CheckpointManager:
     def _key(self, name: str) -> str:
         return f"{self.kernel_id}/{name}"
 
-    def checkpoint(self, obj: NamespaceObject, node_id: Optional[str] = None):
+    def checkpoint(self, obj: NamespaceObject):
         """Simulation process: write one large object; returns its pointer."""
         start = self.env.now
         yield self.datastore.begin_write(obj.size_bytes)
-        return self.datastore.pointer_to(self._written(obj, start, node_id))
+        return self.datastore.pointer_to(self._written(obj, start))
 
-    def checkpoint_all(self, objects: List[NamespaceObject],
-                       node_id: Optional[str] = None):
+    def checkpoint_all(self, objects: List[NamespaceObject]):
         """Simulation process: checkpoint a batch of large objects in
         sequence; returns their pointers."""
         env = self.env
@@ -72,16 +71,14 @@ class CheckpointManager:
         for obj in objects:
             start = env.now
             yield begin_write(obj.size_bytes)
-            pointers.append(
-                datastore.pointer_to(self._written(obj, start, node_id)))
+            pointers.append(datastore.pointer_to(self._written(obj, start)))
         return pointers
 
-    def _written(self, obj: NamespaceObject, start: float,
-                 node_id: Optional[str]) -> StoredObject:
+    def _written(self, obj: NamespaceObject, start: float) -> StoredObject:
         """Record the write of ``obj`` begun at ``start``, whose latency
         has just elapsed; returns the store's record of it."""
         stored = self.records[obj.name] = self.datastore.finish_write(
-            self._key(obj.name), obj.size_bytes, self.kernel_id, start, node_id)
+            self._key(obj.name), obj.size_bytes, self.kernel_id, start)
         self.bytes_checkpointed += obj.size_bytes
         self.checkpoints_written += 1
         if self.hooks is not None:
@@ -89,21 +86,20 @@ class CheckpointManager:
                                obj.name, obj.size_bytes)
         return stored
 
-    def restore(self, name: str, node_id: Optional[str] = None):
+    def restore(self, name: str):
         """Simulation process: read one checkpointed object back."""
         record = self.records.get(name)
         if record is None:
             raise KeyError(f"no checkpoint for object {name!r} of kernel {self.kernel_id}")
-        stored = yield from self.datastore.read(
-            self._key(name), node_id=node_id)
+        stored = yield from self.datastore.read(self._key(name))
         self.objects_restored += 1
         return stored
 
-    def restore_all(self, node_id: Optional[str] = None):
+    def restore_all(self):
         """Simulation process: read every checkpointed object (migration path)."""
         restored = []
         for name in list(self.records):
-            stored = yield from self.restore(name, node_id=node_id)
+            stored = yield from self.restore(name)
             restored.append(stored)
         return restored
 

@@ -71,16 +71,15 @@ class Replication:
     """
 
     __slots__ = ("analysis", "large_objects", "raft_sync_latency", "_sync",
-                 "_node_id", "_sink", "_next", "_start")
+                 "_sink", "_next", "_start")
 
     def __init__(self, sync: "StateSynchronizer", analysis: CodeAnalysis,
                  large_objects: List[NamespaceObject],
-                 node_id: Optional[str], sink: List[float]) -> None:
+                 sink: List[float]) -> None:
         self.analysis = analysis
         self.large_objects = large_objects
         self.raft_sync_latency = 0.0
         self._sync = sync
-        self._node_id = node_id
         self._sink = sink
         self._next = 0
         self._start = 0.0
@@ -107,8 +106,7 @@ class Replication:
         """One large-object write has landed: record it, start the next."""
         sync = self._sync
         large = self.large_objects
-        sync.checkpoint_manager._written(large[self._next], self._start,
-                                         self._node_id)
+        sync.checkpoint_manager._written(large[self._next], self._start)
         self._next += 1
         if self._next < len(large):
             self._write_next()
@@ -137,7 +135,7 @@ class StateSynchronizer:
 
     def replicate(self, code: str,
                   namespace_objects: Sequence[NamespaceObject],
-                  node_id: Optional[str], sink: List[float]) -> Replication:
+                  sink: List[float]) -> Replication:
         """Replicate the state ``code`` touched, off the critical path.
 
         Called at the instant the cell completes.  ``namespace_objects``
@@ -146,9 +144,9 @@ class StateSynchronizer:
         If the cell touches state, a Raft commit latency is drawn from this
         kernel's stream and the commit is scheduled; once it lands, each
         large touched object is written to the data store in namespace
-        order by ``node_id``, the executor replica.  After the last write
-        (at the commit if there is none), a positive Raft latency is
-        appended to ``sink``.  Returns the scheduled job.
+        order.  After the last write (at the commit if there is none), a
+        positive Raft latency is appended to ``sink``.  Returns the
+        scheduled job.
         """
         analysis = analyze_code(code)
         touched = analysis.names_to_replicate
@@ -157,7 +155,7 @@ class StateSynchronizer:
         large = [obj for obj in namespace_objects
                  if obj.size_bytes >= LARGE_OBJECT_THRESHOLD_BYTES
                  and obj.name in touched]
-        job = Replication(self, analysis, large, node_id, sink)
+        job = Replication(self, analysis, large, sink)
         if analysis.touches_state:
             env = self.env
             job._start = env.now

@@ -15,6 +15,7 @@ from repro.cluster import (
     S3_BACKEND,
     VMProvisioner,
 )
+from repro.cluster.datastore import CACHE_HIT_S
 from repro.simulation import Environment, SeededRandom
 
 
@@ -310,12 +311,159 @@ def test_datastore_begin_and_finish_write_match_the_write_process():
     assert twin.bytes_written == store.bytes_written == 290
 
 
+def test_begin_read_raises_for_a_missing_key_before_any_sleep():
+    env = Environment()
+    store = DistributedDataStore(env, backend="s3", rng=SeededRandom(16))
+    with pytest.raises(KeyError, match="nope"):
+        store.begin_read("nope", node_id="n1")
+    assert env.now == 0.0
+    assert (store.cache_hits, store.cache_misses) == (0, 0)
+    assert store.read_latencies == []
+    assert store._rng.getstate() == SeededRandom(16).getstate()
+
+
+def _stored(env, store, key, size, node_id=None):
+    """Write ``key`` through the store and run the clock past the write."""
+    env.run(until=env.process(store.write(key, size, "k", node_id=node_id)))
+
+
+def test_a_cache_hit_draws_nothing_and_costs_a_millisecond():
+    env = Environment()
+    store = DistributedDataStore(env, backend="s3", rng=SeededRandom(17))
+    _stored(env, store, "obj", 300 * 1024 ** 2, node_id="n1")
+    rng_state = store._rng.getstate()
+    start = env.now
+    delay, hit = store.begin_read("obj", node_id="n1")
+    assert (delay, hit) == (CACHE_HIT_S, True) and CACHE_HIT_S == 0.001
+    assert store._rng.getstate() == rng_state
+    env.run(until=start + delay)
+    stored = store.finish_read("obj", start, "n1", hit)
+    assert stored is store._objects["obj"]
+    assert store.read_latencies == [env.now - start]
+    assert (store.cache_hits, store.cache_misses, store.bytes_read) == \
+        (1, 0, 0)
+
+
+def test_a_miss_draws_one_latency_and_fills_the_cache_only_at_its_end():
+    env = Environment()
+    size = 100 * 1024 ** 2
+    store = DistributedDataStore(env, backend="s3", rng=SeededRandom(18))
+    _stored(env, store, "obj", size)
+    # The same stream, advanced past the write's one draw.
+    rng = SeededRandom(18)
+    S3_BACKEND.request_latency(rng)
+    transfer = size / S3_BACKEND.read_bandwidth_bytes_per_s
+
+    first_start = env.now
+    first_delay, first_hit = store.begin_read("obj", node_id="n1")
+    assert not first_hit
+    assert first_delay == S3_BACKEND.request_latency(rng) + transfer
+    assert store._rng.getstate() == rng.getstate()
+    # A second read of the key on the same node, while the first is in
+    # flight, misses too: the cache is filled only when a read ends.
+    env.run(until=first_start + 0.001)
+    second_start = env.now
+    second_delay, second_hit = store.begin_read("obj", node_id="n1")
+    assert not second_hit
+    assert second_delay == S3_BACKEND.request_latency(rng) + transfer
+    assert store._node_caches.get("n1", {}) == {}
+
+    env.run(until=first_start + first_delay)
+    store.finish_read("obj", first_start, "n1", first_hit)
+    first_latency = env.now - first_start
+    assert store._node_caches == {"n1": {"obj": size}}
+    env.run(until=second_start + second_delay)
+    store.finish_read("obj", second_start, "n1", second_hit)
+    assert store.read_latencies == [first_latency, env.now - second_start]
+    assert (store.cache_hits, store.cache_misses, store.bytes_read) == \
+        (0, 2, 2 * size)
+    # Once a read has filled the cache, the next one hits.
+    assert store.begin_read("obj", node_id="n1") == (CACHE_HIT_S, True)
+
+
+def _oracle_read(store, key, node_id=None):
+    """The one-generator read the halves replaced, kept as their oracle."""
+    env = store.env
+    start = env.now
+    stored = store._objects.get(key)
+    if stored is None:
+        raise KeyError(key)
+    if node_id is not None and key in store._node_caches.get(node_id, {}):
+        store.cache_hits += 1
+        yield 0.001
+        store.read_latencies.append(env.now - start)
+        return stored
+    store.cache_misses += 1
+    latency = store.backend.request_latency(store._rng)
+    latency += stored.size_bytes / store.backend.read_bandwidth_bytes_per_s
+    yield latency
+    store.bytes_read += stored.size_bytes
+    store.read_latencies.append(env.now - start)
+    if node_id is not None:
+        store._cache_put(node_id, key, stored.size_bytes)
+    return stored
+
+
+@pytest.mark.parametrize("backend", ["s3", "redis"])
+def test_read_and_its_halves_match_the_one_generator_read(backend):
+    """On twin seeded stores, overlapping reads through the old generator,
+    through ``read`` and through the halves by hand leave identical
+    latencies, counters, caches and RNG positions."""
+    writes = [("a", 40, "n1"), ("b", 30, None), ("c", 50, "n2"),
+              ("d", 45, "n1")]
+    # (gap before the read starts, key, node); the small gaps overlap
+    # reads of one key on one node, and the node cache evicts.
+    reads = [(0.0, "a", "n1"), (0.0, "b", "n1"), (0.0005, "b", "n1"),
+             (0.0, "c", None), (0.3, "b", "n1"), (0.0, "a", "n2"),
+             (0.0, "c", "n2"), (5.0, "d", "n1"), (0.0, "a", "n1"),
+             (0.0, "b", "n2"), (0.2, "b", "n2")]
+
+    def by_hand(store, key, node_id):
+        start = store.env.now
+        delay, hit = store.begin_read(key, node_id)
+        yield delay
+        return store.finish_read(key, start, node_id, hit)
+
+    def replay(read):
+        env = Environment()
+        store = DistributedDataStore(env, backend=backend,
+                                     rng=SeededRandom(19),
+                                     node_cache_capacity_bytes=100)
+        for key, size, node in writes:
+            _stored(env, store, key, size, node_id=node)
+        processes = []
+
+        def launch_reads():
+            for gap, key, node in reads:
+                yield gap
+                processes.append(env.process(read(store, key, node)))
+
+        env.process(launch_reads())
+        env.run()
+        return {
+            "now": env.now,
+            "returned": [process.value for process in processes],
+            "latencies": store.read_latencies,
+            "counters": (store.cache_hits, store.cache_misses,
+                         store.bytes_read),
+            "caches": {node: list(cache.items())
+                       for node, cache in store._node_caches.items()},
+            "rng": store._rng.getstate(),
+        }
+
+    want = replay(_oracle_read)
+    assert want["counters"][0] > 0 and want["counters"][1] > 0
+    assert replay(DistributedDataStore.read) == want
+    assert replay(by_hand) == want
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "DistributedDataStore._cache_put evicts the key it is writing when that "
     "key is the node's oldest entry and the write overflows the cache. "
     "The fix is a behaviour change, so it lands in its own labelled PR "
-    "(ROADMAP item 16), which re-checks the Batch and LCP digests, re-pins "
-    "any that move and turns this into a plain check."))
+    "(ROADMAP item 16).  Only LCP passes node ids, so only LCP digests can "
+    "move: that PR re-checks them, re-pins any that move and turns this "
+    "into a plain check."))
 def test_node_cache_keeps_the_key_just_written():
     env = Environment()
     store = DistributedDataStore(env, backend="s3", rng=SeededRandom(1),

@@ -232,3 +232,35 @@ def test_platform_active_counts_return_to_zero():
     platform.run_workload(trace)
     assert platform.active_session_count == 0
     assert platform.active_training_count == 0
+
+
+# ----------------------------------------------------------------------
+# Who uses the data store's node cache.
+# ----------------------------------------------------------------------
+
+#: (scenario, policy) -> the data store's (cache hits, cache misses) at the
+#: default seed.  Only LCP passes node ids (its host ids), so only LCP
+#: reads can hit and only LCP fills caches.  Batch's misses are its
+#: staging reads, NotebookOS's under ``failure_storm`` its migration and
+#: recovery restores.  The ``excerpt`` case runs in the slow lane.
+NODE_CACHE_USE = {
+    ("smoke", "batch"): (0, 106),
+    ("smoke", "notebookos"): (0, 0),
+    ("failure_storm", "notebookos"): (0, 329),
+    ("smoke", "reservation"): (0, 0),
+    ("smoke", "lcp"): (24, 82),
+    ("excerpt", "lcp"): (961, 4287),
+}
+
+
+@pytest.mark.parametrize("scenario,policy", [
+    pytest.param(scenario, policy,
+                 marks=[pytest.mark.slow] if scenario == "excerpt" else [])
+    for scenario, policy in sorted(NODE_CACHE_USE)])
+def test_only_lcp_uses_the_node_cache(scenario, policy):
+    simulation = Simulation.from_scenario(scenario, policy=policy)
+    simulation.run()
+    store = simulation.platform.datastore
+    assert (store.cache_hits, store.cache_misses) == \
+        NODE_CACHE_USE[scenario, policy]
+    assert bool(store._node_caches) == (policy == "lcp")

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import warnings
+
 import pytest
 
 from repro.api import Simulation
@@ -267,6 +269,23 @@ def test_same_time_livelock_raises_naming_the_timestamp():
     # The bootstrap ran at 0.0; the budget covers everything at 2.5.
     assert env.dispatch_stats()["dispatched"] == 1 + SAME_TIME_BUDGET
     assert spins[0] == SAME_TIME_BUDGET
+
+
+def test_dispatch_stats_reads_the_serials_without_deprecated_calls():
+    """``serials`` comes from the counter's repr, not its pickle support
+    (deprecated in Python 3.12, removed in 3.14), whatever its digits."""
+    env = Environment()
+    env.defer(0.0, lambda _call: None)      # FIFO lane: mints no serial
+    for delay in (1.0, 2.0, 2.0):
+        env.defer(delay, lambda _call: None)
+    env.run(until=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert env.dispatch_stats() == {"dispatched": 2, "batches": 2,
+                                        "serials": 3}
+        for _ in range(1000):
+            env.defer(5.0, lambda _call: None)
+        assert env.dispatch_stats()["serials"] == 1003
 
 
 @pytest.mark.slow

@@ -191,8 +191,8 @@ def test_checkpoint_and_restore_roundtrip():
     model = NamespaceObject(name="model", size_bytes=250 * 1024 ** 2, kind="model")
 
     def run():
-        pointer = yield env.process(manager.checkpoint(model, node_id="replica-1"))
-        restored = yield env.process(manager.restore("model", node_id="replica-2"))
+        pointer = yield env.process(manager.checkpoint(model))
+        restored = yield env.process(manager.restore("model"))
         return pointer, restored
 
     pointer, restored = env.run(until=env.process(run()))
@@ -210,7 +210,7 @@ def test_checkpoint_all_and_restore_all():
 
     def run():
         pointers = yield env.process(manager.checkpoint_all(objects))
-        restored = yield env.process(manager.restore_all(node_id="new-replica"))
+        restored = yield env.process(manager.restore_all())
         return pointers, restored
 
     pointers, restored = env.run(until=env.process(run()))
@@ -270,7 +270,7 @@ def test_synchronize_splits_small_and_large_state():
     env, synchronizer, manager = make_synchronizer()
     code = "model = train(model, dataset)\nlr = 0.01\nhistory.append(lr)"
     sink = []
-    job = synchronizer.replicate(code, NAMESPACE, "replica-1", sink)
+    job = synchronizer.replicate(code, NAMESPACE, sink)
     # Only the touched large objects are written; the small ones ride the
     # Raft commit, and untouched names are not replicated at all.
     assert [o.name for o in job.large_objects] == ["model"]
@@ -293,7 +293,7 @@ def test_synchronize_splits_small_and_large_state():
 def test_synchronize_pure_read_cell_is_noop():
     env, synchronizer, manager = make_synchronizer()
     sink = []
-    job = synchronizer.replicate("print(history)", NAMESPACE, None, sink)
+    job = synchronizer.replicate("print(history)", NAMESPACE, sink)
     env.run()
     assert job.raft_sync_latency == 0.0
     assert job.large_objects == []
@@ -309,9 +309,9 @@ def test_checkpoint_records_are_the_stores_objects():
     env, synchronizer, manager = make_synchronizer()
     store = manager.datastore
     code = "model = train(model, dataset)\ndataset = load()"
-    synchronizer.replicate(code, NAMESPACE, "replica-1", [])
+    synchronizer.replicate(code, NAMESPACE, [])
     env.run()
-    synchronizer.replicate(code, NAMESPACE, "replica-2", [])
+    synchronizer.replicate(code, NAMESPACE, [])
     env.run()
     assert sorted(manager.records) == ["dataset", "model"]
     for name, record in manager.records.items():
@@ -352,15 +352,14 @@ def test_replicating_a_cell_dispatches_one_entry_per_step(code, commits, large,
     monkeypatch.setattr(Process, "__init__", no_process)
     env, synchronizer, _manager = make_synchronizer()
     env.process = no_process
-    job = synchronizer.replicate(code, NAMESPACE, "replica-1", [])
+    job = synchronizer.replicate(code, NAMESPACE, [])
     assert len(job.large_objects) == large
     env.run()
     assert env.dispatch_stats()["dispatched"] == commits + large
 
     monkeypatch.undo()
     env, synchronizer, _manager = make_synchronizer()
-    env.process(_oracle_replicate_state(synchronizer, code, NAMESPACE,
-                                        "replica-1", []))
+    env.process(_oracle_replicate_state(synchronizer, code, NAMESPACE, []))
     env.run()
     assert env.dispatch_stats()["dispatched"] == commits + large + 2
 
@@ -370,16 +369,16 @@ def test_replicating_a_cell_dispatches_one_entry_per_step(code, commits, large,
 # ``_oracle_checkpoint_all`` are the three generator levels
 # ``NotebookOSPolicy`` used to spawn as one background process per cell.
 
-def _oracle_checkpoint_all(manager, objects, node_id):
+def _oracle_checkpoint_all(manager, objects):
     env = manager.env
     begin_write = manager.datastore.begin_write
     for obj in objects:
         start = env.now
         yield begin_write(obj.size_bytes)
-        manager._written(obj, start, node_id)
+        manager._written(obj, start)
 
 
-def _oracle_synchronize(synchronizer, code, namespace_objects, node_id):
+def _oracle_synchronize(synchronizer, code, namespace_objects):
     env = synchronizer.env
     analysis = analyze_code(code)
     touched = analysis.names_to_replicate
@@ -393,14 +392,13 @@ def _oracle_synchronize(synchronizer, code, namespace_objects, node_id):
         synchronizer.sync_latencies.append(raft_sync_latency)
     if large:
         yield from _oracle_checkpoint_all(synchronizer.checkpoint_manager,
-                                          large, node_id)
+                                          large)
     return large, raft_sync_latency
 
 
-def _oracle_replicate_state(synchronizer, code, namespace_objects, node_id,
-                            sink):
+def _oracle_replicate_state(synchronizer, code, namespace_objects, sink):
     report = yield from _oracle_synchronize(synchronizer, code,
-                                            namespace_objects, node_id)
+                                            namespace_objects)
     if report[1] > 0:
         sink.append(report[1])
     return report
@@ -430,13 +428,12 @@ namespaces = st.lists(
     min_size=1, max_size=8, unique_by=lambda entry: entry[0]).map(
         lambda entries: [NamespaceObject(name=name, size_bytes=size)
                          for name, size in entries])
-# (kernel, gap before the cell completes, code, executor replica).  Gaps
-# far below the write latencies make one kernel's replications overlap.
+# (kernel, gap before the cell completes, code).  Gaps far below the
+# write latencies make one kernel's replications overlap.
 cells = st.lists(
     st.tuples(st.integers(0, 2),
               st.sampled_from([0.0, 0.001, 0.05, 0.7, 3.0, 40.0]),
-              st.sampled_from(CELL_TEMPLATES),
-              st.sampled_from([None, "replica-0", "replica-1"])),
+              st.sampled_from(CELL_TEMPLATES)),
     min_size=1, max_size=25)
 
 
@@ -444,8 +441,7 @@ def _replay(seed, kernel_namespaces, cell_list, scheduled):
     """Replay ``cell_list`` through either replication path and return
     everything either path can change."""
     env = Environment()
-    store = DistributedDataStore(env, backend="s3", rng=SeededRandom(seed),
-                                 node_cache_capacity_bytes=3 * 1024 ** 3)
+    store = DistributedDataStore(env, backend="s3", rng=SeededRandom(seed))
     syncs = [StateSynchronizer(
         env, f"kernel-{index}",
         CheckpointManager(env=env, datastore=store,
@@ -456,15 +452,15 @@ def _replay(seed, kernel_namespaces, cell_list, scheduled):
     outcomes = []
 
     def driver():
-        for kernel, gap, code, node in cell_list:
+        for kernel, gap, code in cell_list:
             yield gap
             index = kernel % len(syncs)
             sync, namespace = syncs[index], kernel_namespaces[index]
             if scheduled:
-                outcomes.append(sync.replicate(code, namespace, node, sink))
+                outcomes.append(sync.replicate(code, namespace, sink))
             else:
                 outcomes.append(env.process(_oracle_replicate_state(
-                    sync, code, namespace, node, sink)))
+                    sync, code, namespace, sink)))
 
     env.run(until=env.process(driver()))
     env.run()
@@ -483,8 +479,6 @@ def _replay(seed, kernel_namespaces, cell_list, scheduled):
         "records": [dict(sync.checkpoint_manager.records) for sync in syncs],
         "written": [sync.checkpoint_manager.checkpoints_written
                     for sync in syncs],
-        "node_caches": {node: list(cache.items())
-                        for node, cache in store._node_caches.items()},
         "next_draws": ([sync._rng.random() for sync in syncs],
                        store._rng.random()),
     }
@@ -498,7 +492,7 @@ def test_replicate_matches_the_process_path(seed, kernel_namespaces,
                                             cell_list):
     """The scheduled job replicates exactly as the per-cell process did:
     the same latencies in the same order, the same stored objects (ids and
-    versions), node caches, and RNG positions afterwards."""
+    versions) and RNG positions afterwards."""
     clear_ast_cache()
     want = _replay(seed, kernel_namespaces, cell_list, scheduled=False)
     got = _replay(seed, kernel_namespaces, cell_list, scheduled=True)
