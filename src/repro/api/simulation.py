@@ -262,9 +262,10 @@ class Simulation:
         """Run the metrics collector in fixed-memory sketch mode.
 
         Interactivity/TCT fold into quantile sketches instead of the
-        unbounded per-task list (see ``MetricsCollector``); applied as a
-        config override on a copy of the resolved platform config, so
-        presets and explicit configs compose.  Sketch-mode results
+        unbounded per-task list (see ``MetricsCollector``), and the result
+        keeps no per-step latency breakdown (``breakdown`` is None).  It is
+        applied as a config override on a copy of the resolved platform
+        config, so presets and explicit configs compose.  Sketch-mode results
         serialize differently from exact ones, so the run is not served
         from (or saved to) a result store.
         """

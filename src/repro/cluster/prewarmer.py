@@ -5,12 +5,16 @@ The Global Scheduler consults the prewarmer during kernel replica migrations
 container cold starts.  Both the *initial pool* policy and the *maintenance*
 policy are pluggable, mirroring the paper; the default keeps a fixed minimum
 number of warm containers per host.
+
+The maintenance loop visits only the hosts whose pool is short (below
+``min_per_host``): the prewarmer keeps that set current wherever a pool or
+the host set changes, so a tick on a fleet with full pools touches no host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.container import Container, ContainerRuntime
 from repro.cluster.resources import ResourceRequest
@@ -44,6 +48,9 @@ class ContainerPrewarmer:
         self.default_resources = default_resources or ResourceRequest()
         self._runtimes: Dict[str, ContainerRuntime] = {}
         self._pools: Dict[str, List[Container]] = {}
+        # Registered hosts whose pool is below min_per_host: the only ones
+        # a maintenance tick has to visit.
+        self._short: Set[str] = set()
         self.hits = 0
         self.misses = 0
         self._maintenance_process = None
@@ -54,7 +61,8 @@ class ContainerPrewarmer:
     def register_host(self, host_id: str, runtime: ContainerRuntime) -> None:
         """Track ``host_id`` and pre-warm its initial pool."""
         self._runtimes[host_id] = runtime
-        self._pools.setdefault(host_id, [])
+        if len(self._pools.setdefault(host_id, [])) < self.policy.min_per_host:
+            self._short.add(host_id)
         for _ in range(self.policy.initial_per_host):
             self.env.process(self._warm_one(host_id),
                              name=f"prewarm:{host_id}")
@@ -62,6 +70,7 @@ class ContainerPrewarmer:
     def unregister_host(self, host_id: str) -> None:
         self._runtimes.pop(host_id, None)
         self._pools.pop(host_id, None)
+        self._short.discard(host_id)
 
     def start_maintenance(self) -> None:
         """Start the periodic pool replenishment loop."""
@@ -84,7 +93,10 @@ class ContainerPrewarmer:
         pool = self._pools.get(host_id)
         if pool:
             self.hits += 1
-            return pool.pop(0)
+            container = pool.pop(0)
+            if len(pool) < self.policy.min_per_host and host_id in self._runtimes:
+                self._short.add(host_id)
+            return container
         self.misses += 1
         return None
 
@@ -95,6 +107,8 @@ class ContainerPrewarmer:
         pool = self._pools.setdefault(host_id, [])
         if len(pool) < self.policy.max_per_host:
             pool.append(container)
+            if len(pool) >= self.policy.min_per_host:
+                self._short.discard(host_id)
         else:
             runtime = self._runtimes.get(host_id)
             if runtime is not None:
@@ -116,12 +130,20 @@ class ContainerPrewarmer:
             return None
         if len(pool) < self.policy.max_per_host:
             pool.append(container)
+            if len(pool) >= self.policy.min_per_host:
+                self._short.discard(host_id)
         return container
 
     def _maintenance_loop(self):
         while True:
             yield self.policy.replenish_interval
-            for host_id in list(self._runtimes):
-                deficit = self.policy.min_per_host - self.available(host_id)
-                for _ in range(max(0, deficit)):
+            short = self._short
+            if not short:
+                continue
+            # Registration order, as a scan of every host visits them.
+            # Warming starts no process body until the tick returns, so no
+            # pool changes during the loop.
+            for host_id in [host for host in self._runtimes if host in short]:
+                deficit = self.policy.min_per_host - len(self._pools[host_id])
+                for _ in range(deficit):
                     self.env.process(self._warm_one(host_id))

@@ -105,7 +105,8 @@ class PlatformConfig:
 
     # Metrics.  Sketch mode trades per-task records for fixed-memory
     # percentile sketches (see MetricsCollector) — opt-in, because the
-    # golden digests pin the exact-mode serialization.
+    # golden digests pin the exact-mode serialization.  It keeps no
+    # per-task latency breakdown either: the result's ``breakdown`` is None.
     metrics_sample_interval_s: float = 60.0
     metrics_sketch_mode: bool = False
     metrics_sketch_compression: int = 300

@@ -80,7 +80,10 @@ class NotebookOSPlatform:
         # the simulation timeline (golden-pinned).
         self.hooks = hooks if hooks is not None else HookBus()
         self._seat_metrics()
-        self.breakdown = LatencyBreakdown(policy=getattr(policy, "name", "unknown"))
+        # Sketch mode keeps no per-task records, so it keeps no per-task
+        # latency breakdown either: the result's ``breakdown`` is None.
+        self.breakdown = None if self.config.metrics_sketch_mode else \
+            LatencyBreakdown(policy=getattr(policy, "name", "unknown"))
         self.gpu_binding = GpuBindingModel()
 
         # Infrastructure substrate.
@@ -350,6 +353,7 @@ class NotebookOSPlatform:
     def _session_process(self, session: SessionTrace):
         env = self.env
         publish = self.hooks.publish
+        breakdown = self.breakdown
         if session.start_time > env.now:
             yield session.start_time - env.now
         kernel_id = f"{session.session_id}-kernel"
@@ -392,7 +396,8 @@ class NotebookOSPlatform:
                 finally:
                     if task.is_gpu_task:
                         self.active_training_count -= 1
-                self.breakdown.add(metrics.steps)
+                if breakdown is not None:
+                    breakdown.add(metrics.steps)
                 publish(TASK_COMPLETE, env.now, session, task, metrics)
             if session.end_time > env.now:
                 yield session.end_time - env.now

@@ -9,6 +9,12 @@
   and 13;
 * :mod:`repro.metrics.latency_breakdown` — the per-step latency breakdown of
   Figures 15–19.
+
+An exact-mode run keeps one :class:`TaskMetrics` and one
+:class:`StepLatencies` per submitted cell until it ends, so these records
+(and :class:`PlatformEvent`) are slotted: no instance ``__dict__``, and the
+step latencies sit in one fixed-length list that shares constant hop values
+between cells.
 """
 
 from repro.metrics.collector import (

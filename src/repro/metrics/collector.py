@@ -42,7 +42,7 @@ class EventKind(enum.Enum):
     REPLICA_FAILURE = "replica_failure"
 
 
-@dataclass
+@dataclass(slots=True)
 class PlatformEvent:
     """One discrete platform event."""
 
@@ -51,9 +51,13 @@ class PlatformEvent:
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskMetrics:
-    """Per-task measurements."""
+    """Per-task measurements.
+
+    One is kept per submitted cell for the whole run (exact mode), so the
+    record is slotted: it has no ``__dict__``.
+    """
 
     session_id: str
     kernel_id: str
@@ -133,8 +137,9 @@ class MetricsCollector:
       per-task records are dropped once :meth:`absorb_completed_task` (the
       platform's ``TASK_COMPLETE`` subscriber) has consumed them.  Summary
       percentiles come from the sketches.  Caveats: per-task reports and
-      CDF plots are unavailable, and tasks still in flight at run end are
-      not counted.
+      CDF plots are unavailable, tasks still in flight at run end are not
+      counted, and the platform keeps no per-step latency breakdown (the
+      :class:`ExperimentResult`'s ``breakdown`` is None).
     """
 
     def __init__(self, sample_interval: float = 60.0,

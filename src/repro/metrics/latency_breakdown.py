@@ -4,12 +4,24 @@ The paper decomposes the critical path of a cell execution request into the
 steps of Figure 15.  Each policy implementation records the per-step
 latencies it actually incurs; steps a policy does not have (e.g. the executor
 election under Reservation) are simply absent / zero.
+
+Every cell keeps one :class:`StepLatencies` for the whole run, so its layout
+is what a long replay's memory is made of: one fixed-length list of
+``len(REQUEST_STEPS)`` slots, ``None`` where a step was never recorded.  A
+step's first record stores the latency object itself when it is a non-zero
+float, so a constant hop (``network_hop_s``, ``ls_processing_s``,
+``kernel_preprocess_s``) is one float shared by every cell of a run.
+
+``end_to_end`` sums the recorded slots in ``REQUEST_STEPS`` order.  Every
+policy records a request's steps for the first time in that order (a test
+pins it), so the sum is the one a dict in recording order would give, bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Mapping, Optional
 
 from repro.analysis.cdf import CDF
 
@@ -27,36 +39,74 @@ REQUEST_STEPS: List[str] = [
     "kernel_postprocess",     # (9)  post-processing (sync is async in NotebookOS)
     "kernel_to_ls_hop",       # (10) reply hop kernel -> Local Scheduler
 ]
-_STEP_NAMES = frozenset(REQUEST_STEPS)
+_STEP_INDEX: Dict[str, int] = {step: i for i, step in enumerate(REQUEST_STEPS)}
+_STEP_COUNT = len(REQUEST_STEPS)
 
 
-@dataclass
 class StepLatencies:
-    """The per-step latencies of one execute request."""
+    """The per-step latencies of one execute request.
 
-    steps: Dict[str, float] = field(default_factory=dict)
+    Slot ``i`` holds the latency of ``REQUEST_STEPS[i]``, or ``None`` if the
+    request never recorded that step; repeated records of a step add up.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self) -> None:
+        self._values: List[Optional[float]] = [None] * _STEP_COUNT
 
     def record(self, step: str, latency: float) -> None:
-        if step not in _STEP_NAMES:
+        index = _STEP_INDEX.get(step)
+        if index is None:
             raise KeyError(f"unknown request step {step!r}")
         if latency < 0:
             raise ValueError(f"negative latency for step {step!r}: {latency}")
-        self.steps[step] = self.steps.get(step, 0.0) + latency
+        values = self._values
+        previous = values[index]
+        if previous is not None:
+            values[index] = previous + latency
+        elif latency and type(latency) is float:
+            # ``0.0 + x`` is ``x`` bit for bit for a non-zero float, so the
+            # object itself is kept: a constant hop is shared, not copied.
+            values[index] = latency
+        else:
+            # Zeros and ints are normalised to a float, as ``0.0 + x`` does.
+            values[index] = 0.0 + latency
 
     def get(self, step: str) -> float:
-        return self.steps.get(step, 0.0)
+        index = _STEP_INDEX.get(step)
+        value = None if index is None else self._values[index]
+        return 0.0 if value is None else value
 
     @property
     def end_to_end(self) -> float:
-        return sum(self.steps.values())
+        return sum([value for value in self._values if value is not None])
 
     def to_dict(self) -> Dict[str, float]:
-        return dict(self.steps)
+        """The recorded steps, in ``REQUEST_STEPS`` order."""
+        return {step: value for step, value in zip(REQUEST_STEPS, self._values)
+                if value is not None}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "StepLatencies":
-        return cls(steps={str(step): float(latency)
-                          for step, latency in data.items()})
+    def from_dict(cls, data: Mapping[str, float]) -> "StepLatencies":
+        sample = cls()
+        values = sample._values
+        for step, latency in data.items():
+            index = _STEP_INDEX.get(step)
+            if index is None:
+                raise KeyError(f"unknown request step {step!r}")
+            values[index] = float(latency)
+        return sample
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        return f"StepLatencies({self.to_dict()!r})"
 
 
 @dataclass
@@ -74,7 +124,11 @@ class LatencyBreakdown:
 
     def cdf_for(self, step: str) -> CDF:
         """CDF of a step's latency across the requests that include that step."""
-        return CDF.from_values(s.steps[step] for s in self.samples if step in s.steps)
+        index = _STEP_INDEX.get(step)
+        if index is None:
+            return CDF.from_values(())
+        values = [sample._values[index] for sample in self.samples]
+        return CDF.from_values([value for value in values if value is not None])
 
     def end_to_end_cdf(self) -> CDF:
         return CDF.from_values(s.end_to_end for s in self.samples)

@@ -14,9 +14,13 @@ from typing import Iterator, List, Optional
 from repro.workload.models import WorkloadAssignment
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
-    """One user-submitted cell task in the trace."""
+    """One user-submitted cell task in the trace.
+
+    Slotted (no ``__dict__``): a trace holds one per cell, and shard
+    workers receive traces by pickle, which slotted dataclasses support.
+    """
 
     session_id: str
     submit_time: float

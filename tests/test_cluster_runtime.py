@@ -1,6 +1,8 @@
 """Unit tests for containers, prewarmer, data store, and VM provisioner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ContainerLatencyModel,
@@ -164,6 +166,91 @@ def test_prewarmer_unregister_host_drops_pool():
     env.run(until=120.0)
     assert prewarmer.available("host-1") == 0
     assert prewarmer.total_available() == 0
+
+
+class _UnscheduledEnv:
+    """Just enough of an Environment for the prewarmer: ``process`` returns
+    the generator without scheduling it, so the test decides when each
+    warm-up runs."""
+
+    now = 0.0
+
+    def process(self, generator, name=None):
+        return generator
+
+
+class _StubContainer:
+    is_running = False
+
+    def release_to_pool(self):
+        pass
+
+
+class _StubRuntime:
+    def provision(self, resources, prewarmed=False):
+        yield 1.0
+        return _StubContainer()
+
+    def terminate(self, container):
+        yield 0.0
+
+
+_HOSTS = ["host-0", "host-1", "host-2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(min_per_host=st.integers(min_value=0, max_value=2),
+       extra=st.integers(min_value=0, max_value=2),
+       initial=st.integers(min_value=0, max_value=2),
+       ops=st.lists(st.tuples(st.sampled_from(["register", "unregister", "take",
+                                               "put_back", "complete"]),
+                              st.integers(min_value=0, max_value=30)),
+                    max_size=40))
+def test_prewarmer_maintenance_warms_what_a_full_scan_would(
+        min_per_host, extra, initial, ops):
+    """After every registration, unregistration, take, put-back or warm
+    completion, a maintenance tick warms, in order, exactly the containers
+    a scan of every registered host in registration order would."""
+    policy = PrewarmPolicy(initial_per_host=initial, min_per_host=min_per_host,
+                           max_per_host=min_per_host + extra)
+    prewarmer = ContainerPrewarmer(_UnscheduledEnv(), policy)
+    warmed, pending = [], []
+    real_warm_one = prewarmer._warm_one
+
+    def warm_one(host_id):
+        warmed.append(host_id)
+        generator = real_warm_one(host_id)
+        pending.append(generator)
+        return generator
+
+    prewarmer._warm_one = warm_one
+    registered = {}          # the oracle's own registration order
+    loop = prewarmer._maintenance_loop()
+    assert next(loop) == policy.replenish_interval
+    for op, arg in ops:
+        host = _HOSTS[arg % len(_HOSTS)]
+        if op == "register":
+            registered.setdefault(host, True)
+            prewarmer.register_host(host, _StubRuntime())
+        elif op == "unregister":
+            registered.pop(host, None)
+            prewarmer.unregister_host(host)
+        elif op == "take":
+            prewarmer.take(host)
+        elif op == "put_back":
+            prewarmer.put_back(host, _StubContainer())
+        elif pending:
+            for _ in pending.pop(arg % len(pending)):   # run to completion
+                pass
+        expected = [h for h in registered
+                    for _ in range(min_per_host - prewarmer.available(h))]
+        # The short set holds exactly the hosts the scan would warm: no
+        # host with a full pool lingers in it.
+        assert prewarmer._short == set(expected)
+        warmed.clear()
+        # One engine entry per tick, whatever it warms.
+        assert loop.send(None) == policy.replenish_interval
+        assert warmed == expected
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_step_latencies_and_breakdown_roundtrip():
     restored = LatencyBreakdown.from_dict(json_roundtrip(breakdown.to_dict()))
     assert restored.policy == "notebookos"
     assert len(restored) == 1
-    assert restored.samples[0].steps == sample.steps
+    assert restored.samples[0].to_dict() == sample.to_dict()
     assert restored.samples[0].end_to_end == sample.end_to_end
     assert restored.table() == breakdown.table()
 
@@ -68,7 +68,7 @@ def test_collector_roundtrip_handbuilt():
     assert len(restored.tasks) == 2
     assert restored.tasks[0].interactivity_delay == task.interactivity_delay
     assert restored.tasks[0].task_completion_time == task.task_completion_time
-    assert restored.tasks[0].steps.steps == task.steps.steps
+    assert restored.tasks[0].steps.to_dict() == task.steps.to_dict()
     assert restored.tasks[1].is_gpu_task is False
     assert restored.events[0].kind is EventKind.SCALE_OUT
     assert restored.events[0].detail == "+2 hosts"
