@@ -51,12 +51,9 @@ from repro.api.hooks import (
     SCALE_OUT,
     SESSION_END,
     SESSION_START,
-    SPEC_RETRY,
     TASK_COMPLETE,
     TASK_SUBMIT,
     TOPICS,
-    WORKER_LOST,
-    WORKER_RECOVERED,
     HookBus,
 )
 from repro.api.registry import (
@@ -84,12 +81,9 @@ __all__ = [
     "SCALE_OUT",
     "SESSION_END",
     "SESSION_START",
-    "SPEC_RETRY",
     "TASK_COMPLETE",
     "TASK_SUBMIT",
     "TOPICS",
-    "WORKER_LOST",
-    "WORKER_RECOVERED",
     "HookBus",
     # policies
     "DuplicatePolicyError",

@@ -41,17 +41,6 @@ topic                  payload
                        recovered through its hysteresis band
 ``QOS_ACTION``         ``(time, target, action, detail)`` — a QoS controller
                        fired a mitigation action
-``WORKER_LOST``        ``(time, shard, detail)`` — a supervised shard worker
-                       died, hung past its deadline, or corrupted a barrier
-                       frame (``time`` is the barrier's *simulated* time;
-                       published by the coordinator, see
-                       :mod:`repro.resilience`)
-``WORKER_RECOVERED``   ``(time, shard, detail)`` — a respawned shard worker
-                       finished its deterministic replay and rejoined the
-                       barrier protocol
-``SPEC_RETRY``         ``(attempt, label, detail)`` — a sweep spec failed
-                       and is being retried on the deterministic backoff
-                       schedule (published by the sweep runner)
 =====================  ====================================================
 
 Example — count migrations without touching core code::
@@ -84,15 +73,12 @@ PLATFORM_EVENT = "platform_event"
 QOS_BREACH = "qos_breach"
 QOS_RECOVER = "qos_recover"
 QOS_ACTION = "qos_action"
-WORKER_LOST = "worker_lost"
-WORKER_RECOVERED = "worker_recovered"
-SPEC_RETRY = "spec_retry"
 
 #: Every topic the platform publishes, in documentation order.
 TOPICS = (RUN_START, RUN_END, SESSION_START, SESSION_END, TASK_SUBMIT,
           TASK_COMPLETE, PLACEMENT_DECISION, CHECKPOINT, MIGRATION,
           SCALE_OUT, SCALE_IN, PLATFORM_EVENT, QOS_BREACH, QOS_RECOVER,
-          QOS_ACTION, WORKER_LOST, WORKER_RECOVERED, SPEC_RETRY)
+          QOS_ACTION)
 
 HookCallback = Callable[..., None]
 

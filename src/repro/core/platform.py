@@ -128,10 +128,6 @@ class NotebookOSPlatform:
         # free of shard imports); when set, finish_workload adds its payload
         # under ``stats["shard"]`` in the RUN_END publish.
         self.shard_context = None
-        # Set by a *recovered* shard worker (repro.resilience) on the
-        # respawned incarnation's platform; same duck-typed
-        # ``stats_payload()`` contract, folded under ``stats["resilience"]``.
-        self.resilience_context = None
         # In-flight workload bookkeeping between begin_workload and
         # finish_workload (None outside a run).
         self._workload: Optional[dict] = None
@@ -335,11 +331,6 @@ class NotebookOSPlatform:
             # serial RUN_END payload — and everything golden-pinned
             # downstream of it — is byte-identical to before.
             stats["shard"] = self.shard_context.stats_payload()
-        if self.resilience_context is not None:
-            # Replay accounting (incarnation, replayed epochs) for a worker
-            # respawned after a fault; absent on fault-free runs so
-            # golden-pinned RUN_END payloads are untouched.
-            stats["resilience"] = self.resilience_context.stats_payload()
         self.hooks.publish(RUN_END, self, result, stats)
         return result
 

@@ -84,8 +84,8 @@ def _round(value, digits: int = 2):
 
 
 def _print_failures(failures: Sequence[RunOutcome]) -> None:
-    """Per-spec failure summary: label, attempt count, failure headline."""
-    print(f"\n{len(failures)} spec(s) quarantined:", file=sys.stderr)
+    """Per-spec failure summary: label and failure headline."""
+    print(f"\n{len(failures)} spec(s) failed:", file=sys.stderr)
     for outcome in failures:
         headline = outcome.error or "unknown failure"
         if outcome.traceback:
@@ -93,8 +93,7 @@ def _print_failures(failures: Sequence[RunOutcome]) -> None:
                      if line.strip()]
             if lines:
                 headline = lines[-1].strip()
-        print(f"  {outcome.spec.label}: failed after {outcome.attempts} "
-              f"attempt(s): {headline}", file=sys.stderr)
+        print(f"  {outcome.spec.label}: {headline}", file=sys.stderr)
 
 
 def _report_store(store: Optional[ResultStore], total: int) -> None:
@@ -173,25 +172,14 @@ def _run_with_qos(spec) -> int:
 
 
 def _run_sharded_cli(spec, args) -> int:
-    """Run one spec space-sharded under the supervised driver."""
-    from repro.resilience import SupervisorConfig
+    """Run one spec space-sharded over one process per shard."""
     from repro.shard import run_sharded
 
-    config = SupervisorConfig(
-        worker_timeout_s=args.worker_timeout,
-        max_worker_restarts=(3 if args.retries is None else args.retries))
-    sharded = run_sharded(spec, args.shards, supervision=config)
+    sharded = run_sharded(spec, args.shards)
     _print_outcomes([RunOutcome(spec=spec, result=sharded.result,
                                 cached=False, runtime_s=0.0)])
-    summary = (f"\nmode={sharded.mode}  shards={sharded.num_shards}  "
-               f"barrier_stall={sharded.barrier_stall_s:.2f}s")
-    resilience = sharded.resilience
-    if resilience.get("workers_lost"):
-        summary += (f"  workers_lost={resilience['workers_lost']}  "
-                    f"workers_recovered={resilience['workers_recovered']}")
-        if resilience.get("degraded"):
-            summary += "  (degraded to serial driver)"
-    print(summary)
+    print(f"\nmode={sharded.mode}  shards={sharded.num_shards}  "
+          f"barrier_stall={sharded.barrier_stall_s:.2f}s")
     return 0
 
 
@@ -207,12 +195,12 @@ def cmd_run(args) -> int:
         return _run_with_qos(spec)
     if args.shards > 1:
         # Sharded runs bypass the store (like profile/telemetry --shards):
-        # the merged result is bit-identical to serial, but the resilience /
-        # barrier accounting only exists on the live run.
+        # the merged result is bit-identical to serial, but the barrier
+        # accounting only exists on the live run.
         return _run_sharded_cli(spec, args)
     store = _make_store(args)
     outcomes = run_specs([spec], workers=1, store=store, progress=print,
-                         retries=args.retries or 0, strict=False)
+                         strict=False)
     failures = [outcome for outcome in outcomes if outcome.failed]
     if failures:
         _print_failures(failures)
@@ -399,9 +387,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--resume needs the result store "
                          "(drop --no-store)")
     outcomes = run_specs(specs, workers=args.workers, store=store,
-                         progress=print, retries=args.retries or 0,
-                         spec_timeout_s=args.worker_timeout,
-                         strict=False)
+                         progress=print, strict=False)
     print()
     _print_outcomes(outcomes)
     _report_store(store, len(specs))
@@ -452,17 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="QoS evaluation window in simulated seconds "
                             "(default 300)")
     p_run.add_argument("--shards", type=int, default=1,
-                       help="run space-sharded over K supervised processes "
+                       help="run space-sharded over K processes "
                             "(see repro.shard; default 1 = serial)")
-    p_run.add_argument("--retries", type=int, default=None,
-                       help="retry budget: per-spec retries for a plain run, "
-                            "per-shard consecutive restarts for --shards "
-                            "(default 0 / 3)")
-    p_run.add_argument("--worker-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill a shard worker that misses a barrier "
-                            "deadline by this many wall seconds "
-                            "(--shards only; default: no deadline)")
     add_store_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -551,14 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--no-store", action="store_true",
                          help="do not read or write the result store")
-    p_sweep.add_argument("--retries", type=int, default=None,
-                         help="retry each failing spec this many times "
-                              "before quarantining it (default 0)")
-    p_sweep.add_argument("--worker-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="kill a sweep worker that takes longer than "
-                              "this many wall seconds per attempt "
-                              "(parallel sweeps; default: no deadline)")
     p_sweep.add_argument("--resume", action="store_true",
                          help="explicitly resume a partial sweep: serve "
                               "everything already in the store and report "

@@ -413,7 +413,8 @@ class ExperimentResult:
             "trace_name": self.trace_name,
             "collector": self.collector.to_dict(),
             "wall_clock_runtime": self.wall_clock_runtime,
-            "breakdown": self.breakdown.to_dict() if self.breakdown else None,
+            "breakdown": (self.breakdown.to_dict()
+                          if self.breakdown is not None else None),
         }
 
     @classmethod
@@ -424,7 +425,8 @@ class ExperimentResult:
             trace_name=data["trace_name"],
             collector=MetricsCollector.from_dict(data["collector"]),
             wall_clock_runtime=data.get("wall_clock_runtime", 0.0),
-            breakdown=LatencyBreakdown.from_dict(breakdown) if breakdown else None)
+            breakdown=(LatencyBreakdown.from_dict(breakdown)
+                       if breakdown is not None else None))
 
     def summary(self) -> Dict[str, object]:
         """The headline row the benchmarks print for this policy."""

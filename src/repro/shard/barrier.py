@@ -13,8 +13,7 @@ in-process driver and the one-process-per-shard driver exchange
 byte-identical data — which is why the two execution modes produce
 byte-identical merged results (pinned in tests/test_shard.py).  Absorbing
 a global frame schedules no simulation event and perturbs no RNG stream.
-The frames' dict forms are the parallel driver's wire format and the
-resilience journal.
+The frames' dict forms are the parallel driver's wire format.
 """
 
 from __future__ import annotations

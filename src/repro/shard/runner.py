@@ -26,13 +26,22 @@ exchange).  Both execute the identical per-shard event sequences and the
 identical shard-order merges, so their outputs are byte-identical —
 ``tests/test_shard.py`` pins this, and ``benchmarks/bench_giga.py`` gates
 the parallel speedup on top of it.
+
+The parallel driver fails fast: a worker that raises, dies, closes its
+pipe or sends a message that does not unpickle ends the run with a
+:class:`ShardExecutionError` naming the shard and the epoch, and every
+other worker is torn down.  Nothing is retried — a shard's simulation is a
+pure function of its inputs, so a rerun fails the same way unless the
+fault came from outside the program.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time as _wallclock
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.spec import RunSpec
@@ -47,10 +56,10 @@ __all__ = ["ShardExecutionError", "ShardRuntime", "ShardedRunResult",
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard failed *deterministically* (an in-simulation exception or a
-    protocol violation); carries the remote traceback text.  Process-level
-    losses — kills, hangs, corrupt frames — don't raise this: the
-    supervisor (:mod:`repro.resilience`) recovers them transparently."""
+    """A worker of the parallel driver failed: it raised (the message
+    carries the remote traceback text), died, closed its pipe, or sent a
+    message that does not unpickle.  The message names the shard and the
+    epoch; the run is torn down, not retried."""
 
 
 @dataclass
@@ -59,19 +68,12 @@ class ShardedRunResult:
 
     result: ExperimentResult
     num_shards: int
-    #: ``"reference"`` (num_shards=1), ``"serial"``, ``"parallel"``, or
-    #: ``"degraded"`` (supervision exhausted a shard's restart budget and
-    #: fell back to the serial driver — same digest, no processes).
+    #: ``"reference"`` (num_shards=1), ``"serial"`` or ``"parallel"``.
     mode: str
     #: Per-shard payloads in shard index order; each carries ``shard``
     #: (the stats_payload), ``memory`` (that process's peak RSS), and —
     #: when requested — ``profile`` / ``telemetry`` report dicts.
     shard_payloads: List[Dict[str, object]] = field(default_factory=list)
-    #: Supervision accounting from :class:`repro.resilience.
-    #: ResilienceMonitor` — worker losses/recoveries, per-shard restart
-    #: counts, degrade flag, and the full event timeline.  Empty for the
-    #: ``num_shards=1`` reference path.
-    resilience: Dict[str, object] = field(default_factory=dict)
 
     @property
     def peak_rss_bytes(self) -> int:
@@ -84,16 +86,6 @@ class ShardedRunResult:
         """Total wall seconds shards spent blocked at barriers."""
         return sum(p.get("shard", {}).get("barrier_stall_s", 0.0)
                    for p in self.shard_payloads)
-
-    @property
-    def recoveries(self) -> int:
-        """Workers lost and deterministically recovered during this run."""
-        return int(self.resilience.get("workers_recovered", 0))
-
-    @property
-    def degraded(self) -> bool:
-        """Whether supervision gave up and fell back to the serial driver."""
-        return bool(self.resilience.get("degraded", False))
 
 
 class ShardRuntime:
@@ -124,9 +116,6 @@ class ShardRuntime:
         self._telemetry_kwargs = dict(telemetry_kwargs or {})
         self.platform = None
         self.result: Optional[ExperimentResult] = None
-        #: Set on respawned incarnations (see repro.resilience): replay
-        #: accounting that rides the payload and RUN_END stats.
-        self.resilience = None
 
     def setup(self) -> None:
         """Build trace + platform and begin the workload (no stepping yet)."""
@@ -199,8 +188,6 @@ class ShardRuntime:
         if self.telemetry is not None and self.telemetry.last is not None:
             payload["telemetry"] = self.telemetry.last.to_dict()
             payload["telemetry_text"] = self.telemetry.last.format()
-        if self.resilience is not None:
-            payload["resilience"] = self.resilience.stats_payload()
         return payload
 
 
@@ -254,18 +241,8 @@ def _drive_serial(runtimes: Sequence[ShardRuntime],
 
 
 def _shard_worker(connection, spec_dict: dict, shard_index: int,
-                  plan_dict: dict, options: dict, trace=None,
-                  recover: Optional[dict] = None) -> None:
-    """One shard's process: step, exchange frames over the pipe, report.
-
-    ``recover`` is set on respawned incarnations (see
-    :mod:`repro.resilience.supervisor`): before rejoining the live barrier
-    protocol the worker *fast-forwards* — it re-simulates every journaled
-    epoch and absorbs the corresponding merged :class:`GlobalFrame` s,
-    which reconstructs the dead incarnation's state bit for bit, then
-    resumes at ``resume_epoch``.  ``options["fault_injection"]`` is the
-    test-only crash harness (:class:`repro.resilience.FaultInjection`).
-    """
+                  plan_dict: dict, options: dict, trace) -> None:
+    """One shard's process: step, exchange frames over the pipe, report."""
     try:
         plan = ShardPlan.from_dict(plan_dict)
         runtime = ShardRuntime(
@@ -274,35 +251,9 @@ def _shard_worker(connection, spec_dict: dict, shard_index: int,
             profile=options.get("profile", False),
             telemetry_kwargs=options.get("telemetry_kwargs"),
             trace=trace)
-        injection = None
-        injection_dict = options.get("fault_injection")
-        if injection_dict and injection_dict.get("shard") == shard_index:
-            from repro.resilience.supervisor import FaultInjection
-
-            injection = FaultInjection.from_dict(injection_dict)
         runtime.setup()
-        start_epoch = 0
-        if recover is not None:
-            start_epoch = int(recover["resume_epoch"])
-            for epoch in range(start_epoch):
-                # Deterministic replay: the recomputed frame is identical
-                # to the one the dead incarnation sent, so it is discarded
-                # and the journaled merged frame absorbed in its place.
-                runtime.step_epoch(epoch, plan.barrier_times[epoch])
-                runtime.absorb(GlobalFrame.from_dict(
-                    recover["frames"][epoch]))
-            from repro.resilience.monitor import ResilienceContext
-
-            resilience = ResilienceContext(
-                incarnation=int(recover.get("incarnation", 2)),
-                replayed_epochs=start_epoch)
-            runtime.platform.resilience_context = resilience
-            runtime.resilience = resilience
-        for epoch in range(start_epoch, plan.num_epochs):
-            barrier_time = plan.barrier_times[epoch]
+        for epoch, barrier_time in enumerate(plan.barrier_times):
             frame = runtime.step_epoch(epoch, barrier_time)
-            if injection is not None and epoch == injection.epoch:
-                injection.fire(connection, ("frame", frame.to_dict()))
             connection.send(("frame", frame.to_dict()))
             waited = _wallclock.monotonic()
             message = connection.recv()
@@ -313,8 +264,6 @@ def _shard_worker(connection, spec_dict: dict, shard_index: int,
         result = runtime.finalize()
         payload = runtime.payload()
         payload["result"] = result.to_dict()
-        if injection is not None and injection.epoch >= plan.num_epochs:
-            injection.fire(connection, ("result", payload))
         connection.send(("result", payload))
     except BaseException as error:  # ship the traceback, never hang the pipe
         try:
@@ -325,15 +274,122 @@ def _shard_worker(connection, spec_dict: dict, shard_index: int,
         connection.close()
 
 
+def _lost(shard: int, process, stage: str, reason: str) -> ShardExecutionError:
+    """The error for a worker whose pipe closed or whose process ended."""
+    process.join(timeout=1.0)  # an exiting worker's exit code, if any
+    return ShardExecutionError(
+        f"shard {shard} worker lost at {stage}: {reason}, exit code "
+        f"{process.exitcode}")
+
+
+def _gather(workers: Sequence, expected: str, stage: str) -> List[object]:
+    """One ``expected`` message from every worker, in shard order.
+
+    Waits on the pending pipes and the worker sentinels together, so a
+    worker that dies raises instead of blocking the barrier.
+    """
+    received: Dict[int, object] = {}
+    while len(received) < len(workers):
+        waiting = {}
+        for shard, (process, connection) in enumerate(workers):
+            if shard not in received:
+                waiting[connection] = waiting[process.sentinel] = shard
+        for ready in _wait(list(waiting)):
+            shard = waiting[ready]
+            process, connection = workers[shard]
+            if shard in received:
+                continue
+            if ready is not connection:
+                if connection.poll():
+                    # Sent its message and then exited: not a death.
+                    continue
+                raise _lost(shard, process, stage, "process ended")
+            try:
+                message = connection.recv()
+            except (EOFError, OSError) as error:
+                raise _lost(shard, process, stage, f"pipe closed "
+                            f"({type(error).__name__})") from error
+            except Exception as error:
+                raise ShardExecutionError(
+                    f"shard {shard} sent a corrupt message at {stage} "
+                    f"({type(error).__name__}: {error})") from error
+            if message[0] == "error":
+                raise ShardExecutionError(
+                    f"shard {shard} failed at {stage}: {message[1]}\n"
+                    f"{message[2]}")
+            if message[0] != expected:
+                raise ShardExecutionError(
+                    f"shard {shard}: expected {expected!r} message at "
+                    f"{stage}, got {message[0]!r}")
+            received[shard] = message[1]
+    return [received[shard] for shard in range(len(workers))]
+
+
+def _drain_and_close(connection) -> None:
+    """Drain, then close, a parent pipe end.
+
+    A worker blocked writing into a full pipe exits only once the buffer
+    empties, so joining it before draining can deadlock.
+    """
+    try:
+        while connection.poll():
+            connection.recv_bytes()
+    except (EOFError, OSError):
+        pass
+    connection.close()
+
+
+def _drive_parallel(spec: RunSpec, plan: ShardPlan, options: dict,
+                    traces: Sequence) -> List[Dict[str, object]]:
+    """One process per shard; the coordinator merges and broadcasts each
+    barrier, and raises :class:`ShardExecutionError` on the first failed
+    worker.  Every exit drains and closes each pipe before joining."""
+    context = multiprocessing.get_context("fork")
+    workers = []
+    finished = False
+    try:
+        for shard in range(plan.num_shards):
+            parent_end, child_end = context.Pipe()
+            process = context.Process(
+                target=_shard_worker,
+                args=(child_end, spec.to_dict(), shard, plan.to_dict(),
+                      options, traces[shard]),
+                name=f"shard-{shard}", daemon=True)
+            process.start()
+            child_end.close()
+            workers.append((process, parent_end))
+        for epoch in range(plan.num_epochs):
+            frames = _gather(workers, "frame", f"epoch {epoch}")
+            merged = GlobalFrame.merge(
+                [ShardFrame.from_dict(frame) for frame in frames]).to_dict()
+            for shard, (process, connection) in enumerate(workers):
+                try:
+                    connection.send(("global", merged))
+                except OSError as error:
+                    raise _lost(shard, process, f"epoch {epoch}",
+                                f"pipe closed ({type(error).__name__})"
+                                ) from error
+        payloads = _gather(
+            workers, "result",
+            f"the result phase after epoch {plan.num_epochs - 1}")
+        finished = True
+        return payloads
+    finally:
+        for process, connection in workers:
+            _drain_and_close(connection)
+            if not finished and process.is_alive():
+                process.terminate()
+        for process, _ in workers:
+            process.join(timeout=60)
+
+
 # ----------------------------------------------------------------------
 # Entry point.
 # ----------------------------------------------------------------------
 def run_sharded(spec, num_shards: int, *, parallel: bool = True,
                 epoch_s: Optional[float] = None, sketch: bool = False,
                 profile: bool = False,
-                telemetry_kwargs: Optional[dict] = None,
-                supervision=None, hooks=None,
-                fault_injection=None) -> ShardedRunResult:
+                telemetry_kwargs: Optional[dict] = None) -> ShardedRunResult:
     """Run ``spec`` partitioned into ``num_shards`` space shards.
 
     ``parallel`` selects one-process-per-shard execution; the in-process
@@ -344,16 +400,9 @@ def run_sharded(spec, num_shards: int, *, parallel: bool = True,
     per-shard Profiler / Telemetry whose report dicts ride the shard
     payloads.
 
-    The parallel driver is **supervised** (see :mod:`repro.resilience`):
-    a worker that dies, hangs past ``supervision.worker_timeout_s``, or
-    corrupts a barrier frame is respawned and deterministically
-    fast-forwarded from the journal of merged global frames, so the merged
-    result is byte-identical to a fault-free run; after
-    ``supervision.max_worker_restarts`` consecutive failures of one shard
-    the run degrades to the serial driver (``mode == "degraded"``).
-    ``hooks`` receives ``WORKER_LOST``/``WORKER_RECOVERED`` publishes;
-    ``fault_injection`` is the test-only crash harness
-    (:class:`repro.resilience.FaultInjection`).
+    A parallel worker that raises, dies, closes its pipe or corrupts a
+    message raises :class:`ShardExecutionError` naming its shard and
+    epoch; the other workers are torn down and nothing is retried.
     """
     spec = RunSpec.from_spec(spec)
     if num_shards < 1:
@@ -399,40 +448,9 @@ def run_sharded(spec, num_shards: int, *, parallel: bool = True,
     traces = shard_traces(full_trace, num_shards)
     options = {"sketch": sketch, "profile": profile,
                "telemetry_kwargs": dict(telemetry_kwargs or {})}
-    if fault_injection is not None:
-        options["fault_injection"] = (
-            fault_injection if isinstance(fault_injection, dict)
-            else fault_injection.to_dict())
-    # Imported lazily: repro.resilience.supervisor imports _shard_worker
-    # from this module at spawn time.
-    from repro.resilience import (
-        ResilienceExhausted,
-        ResilienceMonitor,
-        ShardSupervisor,
-        SupervisorConfig,
-    )
-
-    monitor = ResilienceMonitor(hooks=hooks)
     if parallel:
-        config = supervision if supervision is not None else SupervisorConfig()
-        supervisor = ShardSupervisor(spec, plan, options, traces,
-                                     config, monitor)
-        try:
-            payloads = supervisor.run()
-            mode = "parallel"
-        except ResilienceExhausted as error:
-            # One shard kept dying past its restart budget: give up on
-            # parallelism, not on the run.  The serial driver ignores
-            # fault_injection (it never forks), so a persistent injection
-            # cannot re-kill the degraded run.
-            monitor.degraded(str(error))
-            runtimes = [ShardRuntime(spec, i, plan, sketch=sketch,
-                                     profile=profile,
-                                     telemetry_kwargs=telemetry_kwargs,
-                                     trace=traces[i])
-                        for i in range(num_shards)]
-            payloads = _drive_serial(runtimes, plan)
-            mode = "degraded"
+        payloads = _drive_parallel(spec, plan, options, traces)
+        mode = "parallel"
     else:
         runtimes = [ShardRuntime(spec, i, plan, sketch=sketch,
                                  profile=profile,
@@ -447,5 +465,4 @@ def run_sharded(spec, num_shards: int, *, parallel: bool = True,
                            wall_clock_runtime=(
                                _wallclock.monotonic() - started))
     return ShardedRunResult(result=merged, num_shards=num_shards, mode=mode,
-                            shard_payloads=payloads,
-                            resilience=monitor.payload())
+                            shard_payloads=payloads)

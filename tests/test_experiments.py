@@ -1,6 +1,9 @@
 """Tests for the ``repro.experiments`` sweep-orchestration subsystem."""
 
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -9,6 +12,7 @@ from repro.experiments import (
     Scenario,
     ScenarioRegistry,
     ScenarioSpec,
+    SweepExecutionError,
     SweepGrid,
     build_trace,
     default_registry,
@@ -16,6 +20,7 @@ from repro.experiments import (
     run_specs,
     stable_hash,
 )
+from repro.experiments import runner
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.store import SCHEMA_VERSION
 from repro.metrics.collector import ExperimentResult
@@ -159,6 +164,47 @@ def test_store_rejects_corrupt_and_mismatched_entries(tmp_path):
     assert store.load(spec) is not None
 
 
+def test_store_truncated_entry_is_a_miss_then_repaired(tmp_path):
+    spec = small_spec()
+    store = ResultStore(tmp_path)
+    outcome = run_spec(spec, store=store)
+    path = store.path_for(spec)
+    full = path.read_text()
+
+    # A write torn mid-flight (the failure os.replace prevents) must read
+    # as a miss, never as garbage or a crash.
+    path.write_text(full[:len(full) // 2])
+    assert store.load(spec) is None
+    store.save(spec, outcome.result.to_dict())
+    assert store.load(spec) is not None
+
+
+def test_store_save_leaves_no_temp_droppings(tmp_path):
+    run_spec(small_spec(), store=ResultStore(tmp_path))
+    leftovers = [p for p in tmp_path.rglob("*")
+                 if p.is_file() and not p.name.endswith(".json")]
+    assert leftovers == []
+
+
+def test_store_save_is_atomic_under_interrupt(tmp_path, monkeypatch):
+    """If the final rename never happens, the old entry must be intact."""
+    spec = small_spec()
+    store = ResultStore(tmp_path)
+    outcome = run_spec(spec, store=store)
+    before = store.path_for(spec).read_text()
+
+    def exploding_replace(src, dst):
+        raise OSError("simulated crash before rename")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", exploding_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            store.save(spec, outcome.result.to_dict())
+
+    assert store.path_for(spec).read_text() == before  # untouched
+    assert store.load(spec) is not None
+
+
 # ----------------------------------------------------------------------
 # Runner determinism and caching.
 # ----------------------------------------------------------------------
@@ -206,6 +252,95 @@ def test_runner_without_store():
     outcome = run_spec(small_spec())
     assert not outcome.cached
     assert outcome.result.collector.tasks
+
+
+# ----------------------------------------------------------------------
+# Failed specs: salvage, strict, resume.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_fails_bad_spec_and_salvages_rest(tmp_path, workers):
+    store = ResultStore(tmp_path)
+    specs = [small_spec(policy)
+             for policy in ("notebookos", "no-such-policy", "batch")]
+    outcomes = run_specs(specs, workers=workers, store=store, strict=False)
+    assert len(outcomes) == 3
+    by_policy = {outcome.spec.policy: outcome for outcome in outcomes}
+    bad = by_policy["no-such-policy"]
+    assert bad.failed and bad.result is None
+    assert "no-such-policy" in bad.error
+    assert bad.traceback and "UnknownPolicyError" in bad.traceback
+    for policy in ("notebookos", "batch"):
+        outcome = by_policy[policy]
+        assert not outcome.failed
+        assert store.load(outcome.spec) is not None  # salvaged AND stored
+    assert store.load(bad.spec) is None
+
+
+def test_sweep_strict_raises_at_end_with_failures_attached(tmp_path):
+    store = ResultStore(tmp_path)
+    specs = [small_spec("notebookos"), small_spec("no-such-policy")]
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_specs(specs, workers=2, store=store, strict=True)
+    assert len(excinfo.value.failures) == 1
+    assert excinfo.value.failures[0].spec.policy == "no-such-policy"
+    # Salvage happened before the raise: the healthy spec is stored.
+    assert store.load(specs[0]) is not None
+
+
+def test_sweep_resume_reruns_nothing_stored(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path)
+    specs = [small_spec("notebookos"), small_spec("batch")]
+    first = run_specs(specs, workers=1, store=store)
+    assert all(not outcome.cached for outcome in first)
+
+    # Resume: every spec is served from the store; execution would explode.
+    def forbidden(spec_dict):
+        raise AssertionError("resume must not re-run stored specs")
+
+    monkeypatch.setattr(runner, "_execute_spec", forbidden)
+    second = run_specs(specs, workers=1, store=store)
+    assert all(outcome.cached for outcome in second)
+    assert [a.result.collector.to_dict() for a in first] == \
+        [b.result.collector.to_dict() for b in second]
+
+
+def test_sweep_with_a_sigkilled_worker_fails_only_unfinished_specs(
+        tmp_path, monkeypatch):
+    """Killing a pool worker breaks the pool: every spec still running or
+    pending fails with the pool's error, every finished spec is stored, and
+    rerunning the sweep executes only the failed specs."""
+    store = ResultStore(tmp_path)
+    specs = [small_spec(policy) for policy in ("notebookos", "batch", "lcp")]
+    execute_spec = runner._execute_spec
+
+    def sigkill_batch_once_a_result_is_stored(spec_dict):
+        # Runs in the pool workers, which fork after the patch below.
+        # notebookos runs; the batch worker SIGKILLs itself once that result
+        # is stored; lcp waits, so it is still running when the pool breaks.
+        if spec_dict["policy"] == "notebookos":
+            return execute_spec(spec_dict)
+        deadline = time.monotonic() + 30.0
+        while (not any(tmp_path.rglob("*.json"))
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        if spec_dict["policy"] == "batch":
+            os.kill(os.getpid(), signal.SIGKILL)
+        while time.monotonic() < deadline:
+            time.sleep(0.01)
+        return execute_spec(spec_dict)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "_execute_spec",
+                      sigkill_batch_once_a_result_is_stored)
+        first = run_specs(specs, workers=2, store=store, strict=False)
+    assert [outcome.spec for outcome in first] == specs
+    assert [outcome.failed for outcome in first] == [False, True, True]
+    assert all("BrokenProcessPool" in outcome.error for outcome in first[1:])
+    assert [store.load(spec) is not None for spec in specs] == \
+        [True, False, False]
+
+    rerun = run_specs(specs, workers=2, store=store)
+    assert [outcome.cached for outcome in rerun] == [True, False, False]
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,41 @@ def test_unknown_config_preset_exits_2(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Failed specs and resume.
+# ----------------------------------------------------------------------
+def test_cli_sweep_failure_summary_and_exit_code(tmp_path, capsys):
+    code = main(["sweep", "--scenario", "smoke",
+                 "--policies", "notebookos,no-such-policy",
+                 "--seeds", "7", "--store-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "1 spec(s) failed" in captured.err
+    assert "no-such-policy" in captured.err
+    assert "Traceback" not in captured.err  # summary line, not a dump
+    # The healthy spec's row still prints (salvage is visible).
+    assert "notebookos" in captured.out
+
+
+def test_cli_sweep_resume_reports_store_hits(tmp_path, capsys):
+    assert main(["sweep", "--scenario", "smoke", "--policies", "notebookos",
+                 "--seeds", "7", "--store-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--scenario", "smoke", "--policies", "notebookos",
+                 "--seeds", "7", "--resume",
+                 "--store-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "resume: 1 spec(s) served from the store, 0 executed" \
+        in captured.out
+
+
+def test_cli_sweep_resume_requires_store(tmp_path, capsys):
+    code = main(["sweep", "--scenario", "smoke", "--policies", "notebookos",
+                 "--resume", "--no-store", "--store-dir", str(tmp_path)])
+    assert code == 2
+    assert "--resume" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
 # Store corruption.
 # ----------------------------------------------------------------------
 def test_corrupt_store_file_degrades_to_cache_miss(capsys, tmp_path):

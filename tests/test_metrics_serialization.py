@@ -16,6 +16,7 @@ from repro.metrics.collector import (
 )
 from repro.metrics.latency_breakdown import LatencyBreakdown, StepLatencies
 from repro.workload import AdobeTraceGenerator
+from repro.workload.trace import SessionTrace, Trace
 
 
 def json_roundtrip(data):
@@ -99,3 +100,16 @@ def test_experiment_result_roundtrip_from_real_run():
     assert restored.breakdown.table() == result.breakdown.table()
     # A second round trip is a fixed point.
     assert restored.to_dict() == json_roundtrip(result.to_dict())
+
+
+def test_empty_breakdown_survives_the_roundtrip():
+    # An exact-mode run with no tasks keeps an empty breakdown; only a
+    # sketch-mode run has none, and the round trip must not confuse them.
+    session = SessionTrace(session_id="s0", user_id="u0", start_time=0.0,
+                           end_time=600.0, gpus_requested=1)
+    trace = Trace(name="idle", sessions=[session])
+    result = Simulation.from_trace(trace).with_policy("notebookos").run()
+    restored = ExperimentResult.from_dict(json_roundtrip(result.to_dict()))
+    assert result.breakdown is not None and len(result.breakdown) == 0
+    assert restored.breakdown is not None and len(restored.breakdown) == 0
+    assert restored.breakdown.table() == result.breakdown.table()

@@ -12,13 +12,18 @@ The load-bearing guarantees, in increasing order of integration:
   reference path);
 * for any K, in-process serial execution and one-process-per-shard
   parallel execution produce byte-identical merged collectors;
-* a shard failing mid-epoch tears the run down with a diagnosable error
-  instead of hanging the barrier.
+* a shard failing mid-epoch — raising, or its worker killed — tears the
+  run down with an error naming the shard and the epoch instead of hanging
+  the barrier, and leaves no worker process behind.
 """
 
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
+import time as wallclock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.timeline import Timeline
 from repro.api import RunSpec, Simulation
+from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult
 from repro.shard import (
     GlobalFrame,
@@ -33,6 +39,7 @@ from repro.shard import (
     ShardExecutionError,
     ShardFrame,
     ShardPlan,
+    ShardRuntime,
     merge_results,
     partition_sessions,
     run_sharded,
@@ -43,7 +50,7 @@ from repro.shard.merge import (
     merge_timelines_weighted_mean,
 )
 from repro.shard.plan import MAX_BARRIERS, default_epoch_s
-from repro.shard.runner import _drive_serial
+from repro.shard.runner import _drain_and_close, _drive_serial
 from repro.workload.trace import SessionTrace, Trace
 
 
@@ -208,7 +215,7 @@ def test_global_frame_sums_pressure_in_shard_order():
     merged = GlobalFrame.merge(frames)
     assert (merged.epoch, merged.time, merged.pressure) == (0, 60.0, 8)
     # Both frame types round-trip through the wire format used by the
-    # parallel driver and the resilience journal.
+    # parallel driver.
     for frame in frames + [merged]:
         data = frame.to_dict()
         assert type(frame).from_dict(data) == frame
@@ -380,15 +387,89 @@ def test_parallel_driver_surfaces_worker_errors():
         run_sharded(spec, 2, parallel=True)
 
 
+def _inject(fault: str) -> None:
+    if fault == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise RuntimeError("injected shard failure")
+
+
+def _assert_fails_fast(spec, pattern: str) -> None:
+    started = wallclock.monotonic()
+    with pytest.raises(ShardExecutionError, match=pattern):
+        run_sharded(spec, 2, parallel=True)
+    assert wallclock.monotonic() - started < 10.0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fault", ["sigkill", "raise"])
+def test_parallel_driver_fails_fast_when_a_worker_is_lost_mid_run(
+        monkeypatch, fault):
+    # Patched before the fork, so only the workers inherit the fault.
+    step_epoch = ShardRuntime.step_epoch
+
+    def faulty_step_epoch(self, epoch, barrier_time):
+        if self.shard_index == 1 and epoch == 2:
+            _inject(fault)
+        return step_epoch(self, epoch, barrier_time)
+
+    monkeypatch.setattr(ShardRuntime, "step_epoch", faulty_step_epoch)
+    _assert_fails_fast(RunSpec.from_scenario("smoke", seed=7),
+                       r"shard 1 .*epoch 2\b")
+
+
+def test_parallel_driver_fails_fast_when_a_worker_dies_before_its_result(
+        monkeypatch):
+    finalize = ShardRuntime.finalize
+
+    def dying_finalize(self):
+        result = finalize(self)
+        if self.shard_index == 1:
+            _inject("sigkill")
+        return result
+
+    monkeypatch.setattr(ShardRuntime, "finalize", dying_finalize)
+    spec = RunSpec.from_scenario("smoke", seed=7)
+    last_epoch = ShardPlan.from_trace(build_trace(spec), 2).num_epochs - 1
+    _assert_fails_fast(spec, rf"shard 1 .*epoch {last_epoch}\b")
+
+
+def test_drain_and_close_is_idempotent_and_never_raises():
+    parent, child = multiprocessing.get_context("fork").Pipe()
+    child.send(("frame", {"x": 1}))  # leave data in flight
+    _drain_and_close(parent)
+    _drain_and_close(parent)  # double close must not raise
+    assert parent.closed
+    child.close()
+
+
 def test_run_sharded_rejects_bad_shard_counts():
     spec = RunSpec.from_scenario("smoke", seed=7)
     with pytest.raises(ValueError):
         run_sharded(spec, 0)
 
 
+def test_cli_run_sharded_smoke(capsys):
+    from repro.experiments.__main__ import main
+
+    code = main(["run", "smoke", "--shards", "2", "--no-store"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "mode=parallel" in captured.out
+    assert "shards=2" in captured.out
+
+
 # ----------------------------------------------------------------------
 # Full-trace replays (slow lane).
 # ----------------------------------------------------------------------
+@pytest.mark.slow
+@pytest.mark.parametrize("num_shards", [2, 3, 4])
+def test_failure_storm_serial_and_parallel_are_byte_identical(num_shards):
+    spec = RunSpec.from_scenario("failure_storm", seed=11)
+    serial = run_sharded(spec, num_shards, parallel=False)
+    parallel = run_sharded(spec, num_shards, parallel=True)
+    assert _digest(serial.result) == _digest(parallel.result)
+
+
 @pytest.mark.slow
 def test_excerpt_serial_vs_parallel_bit_identity_full_trace():
     spec = RunSpec.from_scenario("excerpt", seed=7)
