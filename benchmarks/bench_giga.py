@@ -1,14 +1,14 @@
 """Sharded-runner benchmark: serial vs K space shards on the big scenarios.
 
-PR 8 added :mod:`repro.shard` — one run partitioned over K processes, each
-simulating its share of the sessions on its share of the fleet, exchanging
-aggregate state at deterministic epoch barriers.  This benchmark pins both
+:mod:`repro.shard` partitions one run over K processes, each replaying
+its share of the sessions on its share of the fleet independently of the
+others; the coordinator merges the K results.  This benchmark pins both
 halves of that contract:
 
 * **wall-clock** — ``mega_scale`` end to end as a plain serial run and at
-  2/4/8 shards (one process per shard), recording events/sec, per-shard
+  2/4/8 shards (one process per shard), recording events/sec and per-shard
   peak RSS (:func:`repro.profiling.memory.memory_stats` inside each
-  worker), and barrier-stall time.  ``giga_scale`` — 50k sessions on a
+  worker).  ``giga_scale`` — 50k sessions on a
   ~10k-host fleet, an order of magnitude past what the serial collector
   can hold exactly — runs sharded in sketch mode with bounded per-shard
   memory.
@@ -91,7 +91,6 @@ def _measure_worker(connection, scenario: str, sessions, num_shards: int,
         "per_shard_rss_mb": [
             round(p["memory"]["peak_rss_bytes"] / 2**20, 1)
             for p in run.shard_payloads],
-        "barrier_stall_s": round(run.barrier_stall_s, 2),
         "digest": _collector_digest(run.result),
         "tasks_completed": run.result.summary()["tasks_completed"],
     })
@@ -223,8 +222,7 @@ def _print_section(name: str, record: dict) -> None:
         extra = f"  {speedup:.2f}x" if speedup is not None else ""
         print(f"  {num_shards:>2} shards: {config['wall_s']:>5.1f}s  "
               f"{config['events_per_sec']:>9,.0f} ev/s  "
-              f"rss {config['peak_rss_mb']:.0f} MB  "
-              f"stall {config['barrier_stall_s']:.1f}s{extra}")
+              f"rss {config['peak_rss_mb']:.0f} MB{extra}")
     if "num_shards" in record:
         print(f"  {record['num_shards']} shards: {record['wall_s']:>5.1f}s  "
               f"{record['events_per_sec']:>9,.0f} ev/s  "

@@ -209,12 +209,6 @@ class GlobalScheduler:
         self.pending_scale_out = 0
         self.migrations_attempted = 0
         self.migrations_aborted = 0
-        # Set by the shard runner when this scheduler manages one shard of
-        # a space-partitioned run.  Placement-failure scale-outs then also
-        # note capacity pressure on it — pure accounting that rides the
-        # next barrier frame; admission decisions are unchanged, so the
-        # sharded run stays bit-identical to the serial reference.
-        self.shard_context = None
         # Per-instance counter so that repeated runs with the same seed
         # produce identical kernel ids (and therefore identical rng streams).
         self._kernel_counter = count(1)
@@ -241,8 +235,6 @@ class GlobalScheduler:
             # §3.4.2: a failed placement triggers scale-out; placement resumes
             # once the new servers have registered.
             deficit = replication - len(decision.hosts)
-            if self.shard_context is not None:
-                self.shard_context.note_pressure(max(1, deficit))
             yield from self.scale_out(
                 max(1, deficit), reason=f"placement failure for {kernel_id}")
             decision = self.placement.candidate_hosts(

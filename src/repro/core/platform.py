@@ -122,12 +122,6 @@ class NotebookOSPlatform:
         # Run-time session bookkeeping.
         self.active_session_count = 0
         self.active_training_count = 0
-        # Set by the shard runner (repro.shard) when this platform simulates
-        # one shard of a space-partitioned run.  Anything with a
-        # ``stats_payload()`` method qualifies (duck-typed to keep the core
-        # free of shard imports); when set, finish_workload adds its payload
-        # under ``stats["shard"]`` in the RUN_END publish.
-        self.shard_context = None
         # In-flight workload bookkeeping between begin_workload and
         # finish_workload (None outside a run).
         self._workload: Optional[dict] = None
@@ -197,11 +191,10 @@ class NotebookOSPlatform:
         """Replay ``trace`` under this platform's policy and collect metrics.
 
         Equivalent to ``begin_workload``; ``drain_workload``;
-        ``finish_workload`` — the same calls the shard runner makes, minus
-        the epoch-bounded ``step_workload_until`` stepping in between.  The
-        phases execute the identical operations in the identical order the
-        pre-split monolith did, so this path stays the frozen bit-identical
-        reference the golden digests pin.
+        ``finish_workload`` — the same calls the shard runner makes for each
+        shard.  The phases execute the identical operations in the identical
+        order the pre-split monolith did, so this path stays the frozen
+        bit-identical reference the golden digests pin.
         """
         self.begin_workload(trace, until=until)
         try:
@@ -264,11 +257,11 @@ class NotebookOSPlatform:
     def step_workload_until(self, time: float) -> int:
         """Advance the in-flight workload to exactly ``time`` (one epoch).
 
-        Returns the number of events dispatched this epoch (the shard
-        barrier's progress signal).  Stepping to the horizon and then
-        calling :meth:`drain_workload` dispatches the exact event sequence
-        one unbounded drain would — the epoch bound is inclusive and never
-        splits a same-timestamp batch (see ``Environment.run_until``).
+        Returns the number of events dispatched this epoch.  Stepping to the
+        horizon and then calling :meth:`drain_workload` dispatches the exact
+        event sequence one unbounded drain would — the epoch bound is
+        inclusive and never splits a same-timestamp batch (see
+        ``Environment.run_until``).
         """
         return self.env.run_until(time)
 
@@ -325,12 +318,6 @@ class NotebookOSPlatform:
             # run-scoped — getrusage cannot be reset).
             "memory": memory_stats(),
         }
-        if self.shard_context is not None:
-            # Per-shard dispatch/barrier counters (index, epochs, stall
-            # seconds, pressure); only present on sharded runs so the
-            # serial RUN_END payload — and everything golden-pinned
-            # downstream of it — is byte-identical to before.
-            stats["shard"] = self.shard_context.stats_payload()
         self.hooks.publish(RUN_END, self, result, stats)
         return result
 

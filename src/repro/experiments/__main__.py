@@ -30,6 +30,7 @@ from repro.api import (
     default_registry,
     run_specs,
 )
+from repro.shard import ShardExecutionError
 
 SUMMARY_COLUMNS = ["scenario", "policy", "seed", "tasks", "interact_p50_s",
                    "interact_p95_s", "tct_p50_s", "gpu_hours", "migrations",
@@ -42,6 +43,14 @@ def _csv(text: str) -> List[str]:
 
 def _csv_ints(text: str) -> List[int]:
     return [int(item) for item in _csv(text)]
+
+
+def _shard_count(text: str) -> int:
+    """``--shards``: a whole number of shards, at least one."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _make_store(args) -> Optional[ResultStore]:
@@ -178,12 +187,17 @@ def _run_sharded_cli(spec, args) -> int:
     sharded = run_sharded(spec, args.shards)
     _print_outcomes([RunOutcome(spec=spec, result=sharded.result,
                                 cached=False, runtime_s=0.0)])
-    print(f"\nmode={sharded.mode}  shards={sharded.num_shards}  "
-          f"barrier_stall={sharded.barrier_stall_s:.2f}s")
+    print(f"\nmode={sharded.mode}  shards={sharded.num_shards}")
     return 0
 
 
 def cmd_run(args) -> int:
+    if args.shards > 1 and args.qos:
+        # run --qos prints the live control-loop timeline from this
+        # process's hooks, which a sharded run's workers do not reach.
+        raise ValueError("--shards and --qos cannot be combined on 'run'; "
+                         "use 'telemetry --shards K --qos ...' for a "
+                         "sharded QoS run")
     scenario = default_registry().get(args.scenario)
     spec = scenario.instantiate(policy=args.policy, seed=args.seed,
                                 num_sessions=args.sessions,
@@ -195,8 +209,8 @@ def cmd_run(args) -> int:
         return _run_with_qos(spec)
     if args.shards > 1:
         # Sharded runs bypass the store (like profile/telemetry --shards):
-        # the merged result is bit-identical to serial, but the barrier
-        # accounting only exists on the live run.
+        # a K-shard run is a different experiment from the spec's unsharded
+        # run, and K is not part of the spec hash the store keys on.
         return _run_sharded_cli(spec, args)
     store = _make_store(args)
     outcomes = run_specs([spec], workers=1, store=store, progress=print,
@@ -224,18 +238,16 @@ def cmd_profile(args) -> int:
                                 duration_hours=args.hours)
     if args.shards > 1:
         # Sharded run: one profiler per shard; each shard's report carries
-        # its own phase timings plus the barrier/dispatch shard counters.
+        # its own phase timings and dispatch counters.
         from repro.shard import run_sharded
 
         sharded = run_sharded(spec, args.shards, profile=True)
         for payload in sharded.shard_payloads:
-            index = payload["shard"]["index"]
-            print(f"--- shard {index}/{args.shards} ---")
+            print(f"--- shard {payload['index']}/{args.shards} ---")
             print(payload["profile_text"])
         result = sharded.result
         summary = result.summary()
         print(f"\nmode={sharded.mode}  shards={sharded.num_shards}  "
-              f"barrier_stall={sharded.barrier_stall_s:.2f}s  "
               f"tasks={summary['tasks_completed']}  "
               f"interact_p50={_round(summary['interactivity_p50_s'])}s  "
               f"tct_p50={_round(summary['tct_p50_s'])}s  "
@@ -291,11 +303,9 @@ def cmd_telemetry(args) -> int:
                 raise KeyError(
                     f"unknown stream {args.stream!r} "
                     f"(known: {', '.join(sorted(report.streams))})")
-            index = payload["shard"]["index"]
-            print(f"--- shard {index}/{args.shards} ---")
+            print(f"--- shard {payload['index']}/{args.shards} ---")
             print(report.format(stream=args.stream))
-        print(f"mode={sharded.mode}  shards={sharded.num_shards}  "
-              f"barrier_stall={sharded.barrier_stall_s:.2f}s")
+        print(f"mode={sharded.mode}  shards={sharded.num_shards}")
         if args.json:
             document = {"shards": [payload["telemetry"]
                                    for payload in sharded.shard_payloads]}
@@ -437,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--qos-window", type=float, default=300.0,
                        help="QoS evaluation window in simulated seconds "
                             "(default 300)")
-    p_run.add_argument("--shards", type=int, default=1,
+    p_run.add_argument("--shards", type=_shard_count, default=1,
                        help="run space-sharded over K processes "
                             "(see repro.shard; default 1 = serial)")
     add_store_args(p_run)
@@ -456,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the scenario's duration (hours)")
     p_profile.add_argument("--json", default=None,
                            help="also write the report as JSON to this path")
-    p_profile.add_argument("--shards", type=int, default=1,
+    p_profile.add_argument("--shards", type=_shard_count, default=1,
                            help="run space-sharded over K processes "
                                 "(see repro.shard; default 1 = serial)")
     p_profile.set_defaults(func=cmd_profile)
@@ -486,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the telemetry report as JSON")
     p_tele.add_argument("--store-artifact", action="store_true",
                         help="persist the report as a result-store artifact")
-    p_tele.add_argument("--shards", type=int, default=1,
+    p_tele.add_argument("--shards", type=_shard_count, default=1,
                         help="run space-sharded over K processes "
                              "(see repro.shard; default 1 = serial)")
     p_tele.add_argument("--qos", action="append", default=None,
@@ -547,6 +557,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # list: the message already names the valid choices.
         message = error.args[0] if error.args else str(error)
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except ShardExecutionError as error:
+        # A failed shard worker: its message's first line names the shard
+        # and the cause; the rest is the worker's traceback.
+        print(f"error: {str(error).splitlines()[0]}", file=sys.stderr)
         return 2
 
 

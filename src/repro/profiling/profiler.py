@@ -63,11 +63,6 @@ class ProfileReport:
     #: ``peak_traced_bytes`` when tracemalloc is running) — see
     #: :func:`repro.profiling.memory_stats`.
     memory: Dict[str, int] = field(default_factory=dict)
-    #: Per-shard counters (index, epochs, barrier stall seconds, per-epoch
-    #: dispatch, pressure; see ``repro.shard.ShardContext.stats_payload``).
-    #: Empty — and absent from :meth:`to_dict` — for unsharded runs, so
-    #: the existing JSON shapes are unchanged.
-    shard: Dict[str, Any] = field(default_factory=dict)
     #: Simulated seconds covered by the run.
     sim_time_s: float = 0.0
 
@@ -96,7 +91,7 @@ class ProfileReport:
         return self.dispatch.get("dispatched", 0) / batches
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "policy": self.policy,
             "trace_name": self.trace_name,
             "phases": dict(self.phases),
@@ -112,11 +107,6 @@ class ProfileReport:
                 "batch_fusion": round(self.batch_fusion, 3),
             },
         }
-        # Present only on sharded runs: unsharded profile JSON keeps its
-        # exact pre-shard shape.
-        if self.shard:
-            data["shard"] = dict(self.shard)
-        return data
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
@@ -146,16 +136,6 @@ class ProfileReport:
                      f"peak traced {self.memory['peak_traced_bytes'] / 2**20:,.1f} MB"
                      if "peak_traced_bytes" in self.memory else None]
             lines.append("  memory: " + ", ".join(p for p in parts if p))
-        if self.shard:
-            s = self.shard
-            dispatched = s.get("dispatched_per_epoch", [])
-            lines.append(
-                f"  shard {s.get('index', '?')}/{s.get('num_shards', '?')}: "
-                f"{s.get('epochs', 0)} epochs, "
-                f"barrier stall {s.get('barrier_stall_s', 0.0):.3f} s, "
-                f"{sum(dispatched):,} entries across epochs, "
-                f"pressure {s.get('pressure_gpus', 0)} GPUs "
-                f"({s.get('pressure_events', 0)} events)")
         if self.event_counts:
             lines.append("  platform events:")
             width = max(len(k) for k in self.event_counts)
@@ -276,7 +256,6 @@ class Profiler:
             ast_cache={"hits": stats.get("ast_cache_hits", 0),
                        "misses": stats.get("ast_cache_misses", 0)},
             memory=dict(stats.get("memory", {})),
-            shard=dict(stats.get("shard", {})),
             sim_time_s=platform.env.now - self._sim_started,
         )
         self.reports.append(report)

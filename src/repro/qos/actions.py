@@ -4,7 +4,9 @@ An action is a plain callable ``action(platform, target, now, **kwargs) ->
 dict`` registered by name.  The returned dict is the action *detail*: it is
 published verbatim on the ``QOS_ACTION`` hook topic and accumulated into
 ``RUN_END stats["qos"]``, so every mitigation the controller takes is
-observable without bespoke instrumentation.
+observable without bespoke instrumentation.  A target's ``action_kwargs``
+are bound against its action's signature when the target validates, so an
+argument the action does not take fails before the run starts.
 
 Built-in actions (all reach the platform only through public seams —
 ``GlobalScheduler.migrate_replica``, the autoscaler's override fields, the
@@ -81,7 +83,7 @@ def resolve_action(name: str) -> ActionFn:
 # Built-in actions.
 # ----------------------------------------------------------------------
 @register_action("log")
-def log_only(platform, target, now, **kwargs) -> dict:
+def log_only(platform, target, now) -> dict:
     """Record the breach; take no mitigation."""
     return {"noop": True}
 

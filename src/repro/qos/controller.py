@@ -25,12 +25,9 @@ target the transition counts, the full timeline of transitions, and the
 actions taken.
 
 Determinism: a :class:`TargetState` decision is a pure function of the
-window-snapshot sequence it has seen (plus, when a
-:class:`~repro.shard.barrier.ShardContext` is attached, the fleet pressure
-of the last merged barrier frame — itself a deterministic function of epoch
-state identical under the serial and parallel shard drivers).  Replaying
-the same snapshot sequence through a fresh machine yields the identical
-transition sequence; the hypothesis property test pins this.
+window-snapshot sequence it has seen.  Replaying the same snapshot sequence
+through a fresh machine yields the identical transition sequence; the
+hypothesis property test pins this.
 """
 
 from __future__ import annotations
@@ -53,11 +50,11 @@ OK, BREACHED = "ok", "breached"
 class TargetState:
     """Pure per-target trigger state machine.
 
-    ``observe(snapshot, fleet_pressure)`` consumes one closed window and
-    returns the transition it caused (``"breach"``, ``"recover"``,
-    ``"action"`` or ``None``).  The machine reads nothing but its target,
-    the snapshots it is fed, and the pressure argument — no clocks, no
-    platform state — so its decision sequence is replayable.
+    ``observe(snapshot)`` consumes one closed window and returns the
+    transition it caused (``"breach"``, ``"recover"``, ``"action"`` or
+    ``None``).  The machine reads nothing but its target and the snapshots
+    it is fed — no clocks, no platform state — so its decision sequence is
+    replayable.
     """
 
     __slots__ = ("target", "state", "_violating", "_clearing",
@@ -89,8 +86,7 @@ class TargetState:
             return snapshot.minimum
         return snapshot.maximum
 
-    def observe(self, snapshot: "WindowSnapshot",
-                fleet_pressure: int = 0) -> Optional[str]:
+    def observe(self, snapshot: "WindowSnapshot") -> Optional[str]:
         """Consume one closed window; return the transition, if any.
 
         Empty windows are neutral: they neither extend a violating streak
@@ -105,7 +101,7 @@ class TargetState:
         target = self.target
         now = snapshot.end
         if self.state == OK:
-            if target.violated(value, fleet_pressure):
+            if target.violated(value):
                 self._violating += 1
                 if self._violating >= target.windows:
                     self.state = BREACHED
@@ -118,7 +114,7 @@ class TargetState:
             return None
         # Breached: check recovery through the hysteresis band first, then
         # whether the cooldown allows re-firing the action.
-        if target.cleared(value, fleet_pressure):
+        if target.cleared(value):
             self._clearing += 1
             if self._clearing >= target.windows:
                 self.state = OK
@@ -184,18 +180,6 @@ class QosController:
     # ------------------------------------------------------------------
     # Window evaluation.
     # ------------------------------------------------------------------
-    def _fleet_pressure(self) -> int:
-        """Fleet-wide GPU deficit from the last shard barrier, if any.
-
-        One-epoch-stale by design: both shard drivers absorb frames at
-        identical barrier epochs, so this value is a pure function of
-        (epoch, shard payloads) and identical serial vs parallel.
-        """
-        context = getattr(self.platform, "shard_context", None)
-        if context is None:
-            return 0
-        return context.fleet_pressure
-
     def _make_window_callback(self, state: TargetState):
         def on_window(snapshot: "WindowSnapshot") -> None:
             # Suppress evaluation once the workload is finished: RUN_END
@@ -204,7 +188,7 @@ class QosController:
             # schedule events into a dead run.
             if self.platform._workload is None:
                 return
-            transition = state.observe(snapshot, self._fleet_pressure())
+            transition = state.observe(snapshot)
             if transition is None:
                 return
             now = snapshot.end
@@ -214,8 +198,7 @@ class QosController:
                 "metric": target.metric,
                 "stat": target.stat_label,
                 "value": value,
-                "threshold": target.effective_threshold(
-                    self._fleet_pressure()),
+                "threshold": target.threshold,
                 "window_end": now,
             }
             if transition == "recover":

@@ -13,12 +13,7 @@ semantics the :class:`~repro.qos.controller.QosController` applies to it:
   flap breach/recover every window;
 * **cooldown_s** — minimum simulated seconds between fired actions, so a
   persistent breach re-fires its mitigation at a bounded rate instead of
-  every window;
-* **pressure_relief** — shard awareness: when the platform carries a
-  :class:`~repro.shard.barrier.ShardContext` whose (one-epoch-stale) global
-  frame reports positive fleet-wide capacity pressure, the breach threshold
-  tightens by this fraction, so controllers react earlier when the *whole
-  fleet* — not just the local shard — is short on capacity.
+  every window.
 
 Both :class:`QosTarget` and the enclosing :class:`QosConfig` are plain
 data: they round-trip through dicts (and therefore through
@@ -32,14 +27,16 @@ and parse from a compact CLI shorthand::
 ``metric:stat<op>threshold:action[,key=value...]`` — ``stat`` is ``pNN``,
 ``mean``, ``rate``, ``count``, ``min`` or ``max``; ``<op>`` is ``>``
 (breach above) or ``<`` (breach below); trailing ``key=value`` pairs set
-any remaining target field, with unknown keys routed to the action's
-kwargs.
+``windows``, ``hysteresis``, ``cooldown_s`` or ``name``, and every other
+key is an argument of the action, checked against its signature by
+:meth:`QosTarget.validate`.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import DEFAULT_STREAMS
@@ -51,8 +48,7 @@ __all__ = ["QosTarget", "QosConfig"]
 AGGREGATES = ("mean", "rate", "count", "min", "max")
 
 #: Target fields settable from the CLI shorthand's key=value suffix.
-_SHORTHAND_FIELDS = ("windows", "hysteresis", "cooldown_s",
-                     "pressure_relief", "name")
+_SHORTHAND_FIELDS = ("windows", "hysteresis", "cooldown_s", "name")
 _INT_FIELDS = frozenset({"windows"})
 _STR_FIELDS = frozenset({"name"})
 
@@ -80,8 +76,6 @@ class QosTarget:
     #: Registered action name (see :mod:`repro.qos.actions`).
     action: str = "log"
     action_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Fraction by which fleet-wide barrier pressure tightens the threshold.
-    pressure_relief: float = 0.0
     #: Stable label; defaults to ``metric:stat<op>threshold``.
     name: str = ""
 
@@ -100,30 +94,15 @@ class QosTarget:
             return quantile_label(self.percentile)
         return self.aggregate
 
-    def effective_threshold(self, fleet_pressure: int) -> float:
-        """The breach threshold after shard-aware pressure relief.
+    def violated(self, value: float) -> bool:
+        return value > self.threshold if self.comparison == "above" \
+            else value < self.threshold
 
-        Pure function of (target, pressure): with positive fleet-wide
-        pressure an *above* target's threshold shrinks (breach earlier), a
-        *below* target's grows, each by the ``pressure_relief`` fraction.
-        """
-        if self.pressure_relief <= 0.0 or fleet_pressure <= 0:
-            return self.threshold
-        if self.comparison == "above":
-            return self.threshold * (1.0 - self.pressure_relief)
-        return self.threshold * (1.0 + self.pressure_relief)
-
-    def violated(self, value: float, fleet_pressure: int = 0) -> bool:
-        threshold = self.effective_threshold(fleet_pressure)
-        return value > threshold if self.comparison == "above" \
-            else value < threshold
-
-    def cleared(self, value: float, fleet_pressure: int = 0) -> bool:
+    def cleared(self, value: float) -> bool:
         """Inside the recovery band (threshold cleared by the hysteresis)."""
-        threshold = self.effective_threshold(fleet_pressure)
-        return value <= threshold - self.hysteresis \
+        return value <= self.threshold - self.hysteresis \
             if self.comparison == "above" \
-            else value >= threshold + self.hysteresis
+            else value >= self.threshold + self.hysteresis
 
     # ------------------------------------------------------------------
     # Validation.
@@ -152,13 +131,16 @@ class QosTarget:
             raise ValueError("hysteresis must be non-negative")
         if self.cooldown_s < 0.0:
             raise ValueError("cooldown_s must be non-negative")
-        if not 0.0 <= self.pressure_relief < 1.0:
-            raise ValueError("pressure_relief must be in [0, 1)")
-        from repro.qos.actions import known_actions
+        from repro.qos.actions import resolve_action
 
-        if self.action not in known_actions():
-            raise ValueError(f"unknown qos action {self.action!r} (known: "
-                             f"{', '.join(known_actions())})")
+        action = resolve_action(self.action)
+        try:
+            # The controller calls action(platform, target, now, **kwargs).
+            inspect.signature(action).bind(None, self, 0.0,
+                                           **self.action_kwargs)
+        except TypeError as error:
+            raise ValueError(f"qos action {self.action!r}: {error}") \
+                from None
 
     # ------------------------------------------------------------------
     # Serialization (spec-hash participating: keys are stable).
@@ -174,7 +156,6 @@ class QosTarget:
             "hysteresis": self.hysteresis,
             "cooldown_s": self.cooldown_s,
             "action": self.action,
-            "pressure_relief": self.pressure_relief,
             "name": self.name,
         }
         if self.action_kwargs:
@@ -183,6 +164,11 @@ class QosTarget:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "QosTarget":
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown qos target key {unknown[0]!r} (known: "
+                             f"{', '.join(known)})")
         return cls(metric=data["metric"], threshold=data["threshold"],
                    percentile=data.get("percentile"),
                    aggregate=data.get("aggregate", "mean"),
@@ -192,7 +178,6 @@ class QosTarget:
                    cooldown_s=float(data.get("cooldown_s", 0.0)),
                    action=data.get("action", "log"),
                    action_kwargs=dict(data.get("action_kwargs", {})),
-                   pressure_relief=float(data.get("pressure_relief", 0.0)),
                    name=data.get("name", ""))
 
     # ------------------------------------------------------------------

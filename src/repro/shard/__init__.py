@@ -1,20 +1,15 @@
-"""repro.shard — space-sharded simulation with deterministic barriers.
+"""repro.shard — space-sharded simulation.
 
 Partitions one run's sessions over K shards, each simulated by its own
-engine (in-process or one process per shard), exchanging fleet-wide
-capacity pressure at fixed epoch barriers; nothing else crosses shards.
-Serial and parallel execution of the same K-shard plan are byte-identical;
-``num_shards=1`` bypasses all of it and is the frozen serial reference.
+engine (in-process or one process per shard) as an independent replay of
+its sub-trace; nothing crosses shards, and the coordinator merges the K
+results in shard order.  Serial and parallel execution of the same K are
+byte-identical; ``num_shards=1`` bypasses all of it and is the frozen
+serial reference.
 """
 
-from repro.shard.barrier import GlobalFrame, ShardContext, ShardFrame
 from repro.shard.merge import merge_collectors, merge_results
-from repro.shard.plan import (
-    ShardPlan,
-    default_epoch_s,
-    partition_sessions,
-    shard_traces,
-)
+from repro.shard.plan import partition_sessions, shard_traces
 from repro.shard.runner import (
     ShardExecutionError,
     ShardRuntime,
@@ -23,14 +18,9 @@ from repro.shard.runner import (
 )
 
 __all__ = [
-    "GlobalFrame",
-    "ShardContext",
-    "ShardFrame",
-    "ShardPlan",
     "ShardRuntime",
     "ShardedRunResult",
     "ShardExecutionError",
-    "default_epoch_s",
     "merge_collectors",
     "merge_results",
     "partition_sessions",

@@ -5,34 +5,30 @@ reference path**: it delegates straight to ``Simulation.from_spec(spec)``
 — zero shard machinery touches the run, so it is bit-identical to the
 pre-shard serial path.
 
-For K > 1 the run proceeds in lockstep epochs over the *global* horizon:
+For K > 1 the run is K independent replays:
 
-1. each shard builds its own full platform from the spec, against its
-   sub-trace (configs resolve per sub-trace, so the fleet divides ~K ways);
-2. every epoch, each shard steps its engine to the barrier time,
-   reports the capacity pressure it noted in a
-   :class:`~repro.shard.barrier.ShardFrame`, and blocks;
-3. the coordinator sums the K frames' pressure (shard order) into a
-   :class:`~repro.shard.barrier.GlobalFrame` and broadcasts it back, and
-   each shard keeps that fleet pressure for its QoS controller;
-4. after the last barrier each shard drains its session tail
-   independently (no further barriers — the tail is cross-shard-free),
-   finishes its workload, and ships its result;
-5. the coordinator merges the K results (:mod:`repro.shard.merge`).
+1. the coordinator builds the full trace once and deals its sessions over
+   the shards (:mod:`repro.shard.plan`);
+2. each shard builds its own full platform from the spec against its
+   sub-trace (configs resolve per sub-trace, so the fleet divides ~K ways)
+   and replays it to completion over the *global* horizon, so every shard
+   samples the same windows;
+3. the coordinator merges the K results in shard order
+   (:mod:`repro.shard.merge`).
 
-The serial driver runs the K shard runtimes in-process; the parallel
-driver forks one worker process per shard (pipes for the barrier
-exchange).  Both execute the identical per-shard event sequences and the
-identical shard-order merges, so their outputs are byte-identical —
-``tests/test_shard.py`` pins this, and ``benchmarks/bench_giga.py`` gates
-the parallel speedup on top of it.
+The serial driver builds every shard in-process and then replays them one
+after another; the parallel driver forks one worker process per shard,
+and each worker sends back a single message.  Both run the identical
+per-shard replays and the identical shard-order merge, so their outputs
+are byte-identical — ``tests/test_shard.py`` pins this, and
+``benchmarks/bench_giga.py`` gates the parallel speedup on top of it.
 
 The parallel driver fails fast: a worker that raises, dies, closes its
 pipe or sends a message that does not unpickle ends the run with a
-:class:`ShardExecutionError` naming the shard and the epoch, and every
-other worker is torn down.  Nothing is retried — a shard's simulation is a
-pure function of its inputs, so a rerun fails the same way unless the
-fault came from outside the program.
+:class:`ShardExecutionError` naming the shard, and every other worker is
+torn down.  Nothing is retried — a shard's simulation is a pure function
+of its inputs, so a rerun fails the same way unless the fault came from
+outside the program.
 """
 
 from __future__ import annotations
@@ -47,9 +43,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.spec import RunSpec
 from repro.metrics.collector import ExperimentResult
 from repro.profiling.memory import memory_stats
-from repro.shard.barrier import GlobalFrame, ShardContext, ShardFrame
 from repro.shard.merge import merge_results
-from repro.shard.plan import ShardPlan, shard_traces
+from repro.shard.plan import shard_traces
+from repro.workload.trace import Trace
 
 __all__ = ["ShardExecutionError", "ShardRuntime", "ShardedRunResult",
            "run_sharded"]
@@ -58,8 +54,8 @@ __all__ = ["ShardExecutionError", "ShardRuntime", "ShardedRunResult",
 class ShardExecutionError(RuntimeError):
     """A worker of the parallel driver failed: it raised (the message
     carries the remote traceback text), died, closed its pipe, or sent a
-    message that does not unpickle.  The message names the shard and the
-    epoch; the run is torn down, not retried."""
+    message that does not unpickle.  The message's first line names the
+    shard; the run is torn down, not retried."""
 
 
 @dataclass
@@ -70,9 +66,10 @@ class ShardedRunResult:
     num_shards: int
     #: ``"reference"`` (num_shards=1), ``"serial"`` or ``"parallel"``.
     mode: str
-    #: Per-shard payloads in shard index order; each carries ``shard``
-    #: (the stats_payload), ``memory`` (that process's peak RSS), and —
-    #: when requested — ``profile`` / ``telemetry`` report dicts.
+    #: Per-shard payloads in shard index order; each carries ``index``,
+    #: ``memory`` (that process's peak RSS), ``events_dispatched``, the
+    #: shard's ``result`` dict and — when requested — ``profile`` /
+    #: ``telemetry`` report dicts.
     shard_payloads: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -81,34 +78,25 @@ class ShardedRunResult:
         return max((p.get("memory", {}).get("peak_rss_bytes", 0)
                     for p in self.shard_payloads), default=0)
 
-    @property
-    def barrier_stall_s(self) -> float:
-        """Total wall seconds shards spent blocked at barriers."""
-        return sum(p.get("shard", {}).get("barrier_stall_s", 0.0)
-                   for p in self.shard_payloads)
-
 
 class ShardRuntime:
-    """One shard's platform, driven epoch-by-epoch from outside.
+    """One shard's platform: built by :meth:`setup`, replayed to
+    completion by :meth:`finalize`.
 
     Identical in both execution modes: the serial driver holds K of these
-    in one process, the parallel worker holds exactly one.  All
-    mode-dependent behavior (who waits on whom) lives in the drivers.
+    in one process, a parallel worker holds exactly one.
     """
 
-    def __init__(self, spec: RunSpec, shard_index: int, plan: ShardPlan,
-                 sketch: bool = False, profile: bool = False,
-                 telemetry_kwargs: Optional[dict] = None,
-                 trace=None) -> None:
+    def __init__(self, spec: RunSpec, shard_index: int, trace: Trace,
+                 horizon: float, sketch: bool = False, profile: bool = False,
+                 telemetry_kwargs: Optional[dict] = None) -> None:
         self.spec = RunSpec.from_spec(spec)
         self.shard_index = int(shard_index)
-        self.plan = plan
-        #: Pre-built sub-trace, when the coordinator already derived it —
-        #: skipping the per-shard full-trace rebuild.  ``None`` re-derives
-        #: it here; both paths run the same pure partition functions, so
-        #: the resulting run is identical either way.
-        self._trace = trace
-        self.context = ShardContext(shard_index, plan.num_shards)
+        #: This shard's sub-trace (see :func:`repro.shard.plan.shard_traces`).
+        self.trace = trace
+        #: The *global* horizon, not the sub-trace's: every shard samples
+        #: the same windows.
+        self.horizon = float(horizon)
         self.profiler = None
         self.telemetry = None
         self._sketch = bool(sketch)
@@ -118,7 +106,7 @@ class ShardRuntime:
         self.result: Optional[ExperimentResult] = None
 
     def setup(self) -> None:
-        """Build trace + platform and begin the workload (no stepping yet)."""
+        """Build the platform and begin the workload (no replay yet)."""
         from repro.api.simulation import Simulation
 
         simulation = Simulation.from_spec(self.spec)
@@ -132,35 +120,16 @@ class ShardRuntime:
         if self._telemetry_kwargs:
             simulation.with_telemetry(**self._telemetry_kwargs)
             self.telemetry = simulation.telemetry
-        phase = (self.profiler.phase if self.profiler is not None
-                 else _null_phase)
-        with phase("trace_build"):
-            if self._trace is not None:
-                trace = self._trace
-            else:
-                full_trace = simulation._resolve_trace()
-                trace = shard_traces(full_trace, self.plan.num_shards)[
-                    self.shard_index]
-        with phase("platform_build"):
-            platform = simulation.build(trace)
-        platform.shard_context = self.context
-        platform.global_scheduler.shard_context = self.context
-        # The *global* horizon, not the sub-trace's: every shard samples
-        # the same windows and steps the same barrier schedule.
-        platform.begin_workload(trace, until=self.plan.horizon)
+        if self.profiler is not None:
+            with self.profiler.phase("platform_build"):
+                platform = simulation.build(self.trace)
+        else:
+            platform = simulation.build(self.trace)
+        platform.begin_workload(self.trace, until=self.horizon)
         self.platform = platform
-        self.simulation = simulation
-
-    def step_epoch(self, epoch: int, time: float) -> ShardFrame:
-        """Advance to the barrier at ``time`` and snapshot a frame."""
-        return self.context.make_frame(
-            epoch, time, self.platform.step_workload_until(time))
-
-    def absorb(self, frame: GlobalFrame) -> None:
-        self.context.absorb_global(frame)
 
     def finalize(self) -> ExperimentResult:
-        """Drain the post-horizon tail, finish, and detach."""
+        """Replay the workload to completion, finish, and detach."""
         platform = self.platform
         try:
             platform.drain_workload()
@@ -175,9 +144,10 @@ class ShardRuntime:
             self.platform.detach_metrics()
 
     def payload(self) -> Dict[str, object]:
-        """Per-shard reporting: counters, memory, optional reports."""
+        """Per-shard reporting after :meth:`finalize`: counters, memory,
+        optional reports, and the result's dict form."""
         payload: Dict[str, object] = {
-            "shard": self.context.stats_payload(),
+            "index": self.shard_index,
             "memory": memory_stats(),
             "events_dispatched":
                 self.platform.env.dispatch_stats()["dispatched"],
@@ -188,48 +158,28 @@ class ShardRuntime:
         if self.telemetry is not None and self.telemetry.last is not None:
             payload["telemetry"] = self.telemetry.last.to_dict()
             payload["telemetry_text"] = self.telemetry.last.format()
+        payload["result"] = self.result.to_dict()
         return payload
-
-
-class _NullPhase:
-    def __call__(self, name: str) -> "_NullPhase":
-        return self
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_null_phase = _NullPhase()
 
 
 # ----------------------------------------------------------------------
 # Drivers.
 # ----------------------------------------------------------------------
-def _drive_serial(runtimes: Sequence[ShardRuntime],
-                  plan: ShardPlan) -> List[Dict[str, object]]:
-    """Lockstep the runtimes in-process; returns per-shard payload dicts.
+def _drive_serial(runtimes: Sequence[ShardRuntime]) -> List[Dict[str, object]]:
+    """Build every shard, then replay each in shard order; returns the
+    per-shard payloads.
 
-    Factored out so tests can inject failing runtimes and observe the
-    mid-epoch teardown path without multiprocessing in the way.
+    Building them all first puts the end of setup at one point: the first
+    replay call.  A failure anywhere tears every shard down before it
+    propagates.
     """
     try:
         for runtime in runtimes:
             runtime.setup()
-        for epoch, barrier_time in enumerate(plan.barrier_times):
-            frames = [runtime.step_epoch(epoch, barrier_time)
-                      for runtime in runtimes]
-            merged = GlobalFrame.merge(frames)
-            for runtime in runtimes:
-                runtime.absorb(merged)
         payloads = []
         for runtime in runtimes:
-            result = runtime.finalize()
-            payload = runtime.payload()
-            payload["result"] = result.to_dict()
-            payloads.append(payload)
+            runtime.finalize()
+            payloads.append(runtime.payload())
         return payloads
     except BaseException:
         for runtime in runtimes:
@@ -240,31 +190,12 @@ def _drive_serial(runtimes: Sequence[ShardRuntime],
         raise
 
 
-def _shard_worker(connection, spec_dict: dict, shard_index: int,
-                  plan_dict: dict, options: dict, trace) -> None:
-    """One shard's process: step, exchange frames over the pipe, report."""
+def _shard_worker(connection, runtime: ShardRuntime) -> None:
+    """One shard's process: replay the shard and send one message."""
     try:
-        plan = ShardPlan.from_dict(plan_dict)
-        runtime = ShardRuntime(
-            RunSpec.from_dict(spec_dict), shard_index, plan,
-            sketch=options.get("sketch", False),
-            profile=options.get("profile", False),
-            telemetry_kwargs=options.get("telemetry_kwargs"),
-            trace=trace)
         runtime.setup()
-        for epoch, barrier_time in enumerate(plan.barrier_times):
-            frame = runtime.step_epoch(epoch, barrier_time)
-            connection.send(("frame", frame.to_dict()))
-            waited = _wallclock.monotonic()
-            message = connection.recv()
-            runtime.context.record_stall(_wallclock.monotonic() - waited)
-            if message[0] != "global":
-                return  # coordinator aborted
-            runtime.absorb(GlobalFrame.from_dict(message[1]))
-        result = runtime.finalize()
-        payload = runtime.payload()
-        payload["result"] = result.to_dict()
-        connection.send(("result", payload))
+        runtime.finalize()
+        connection.send(("result", runtime.payload()))
     except BaseException as error:  # ship the traceback, never hang the pipe
         try:
             connection.send(("error", repr(error), traceback.format_exc()))
@@ -274,21 +205,20 @@ def _shard_worker(connection, spec_dict: dict, shard_index: int,
         connection.close()
 
 
-def _lost(shard: int, process, stage: str, reason: str) -> ShardExecutionError:
+def _lost(shard: int, process, reason: str) -> ShardExecutionError:
     """The error for a worker whose pipe closed or whose process ended."""
     process.join(timeout=1.0)  # an exiting worker's exit code, if any
     return ShardExecutionError(
-        f"shard {shard} worker lost at {stage}: {reason}, exit code "
-        f"{process.exitcode}")
+        f"shard {shard} worker lost: {reason}, exit code {process.exitcode}")
 
 
-def _gather(workers: Sequence, expected: str, stage: str) -> List[object]:
-    """One ``expected`` message from every worker, in shard order.
+def _gather(workers: Sequence) -> List[Dict[str, object]]:
+    """Every worker's payload, in shard order.
 
     Waits on the pending pipes and the worker sentinels together, so a
-    worker that dies raises instead of blocking the barrier.
+    worker that dies raises instead of blocking the coordinator.
     """
-    received: Dict[int, object] = {}
+    received: Dict[int, Dict[str, object]] = {}
     while len(received) < len(workers):
         waiting = {}
         for shard, (process, connection) in enumerate(workers):
@@ -303,24 +233,19 @@ def _gather(workers: Sequence, expected: str, stage: str) -> List[object]:
                 if connection.poll():
                     # Sent its message and then exited: not a death.
                     continue
-                raise _lost(shard, process, stage, "process ended")
+                raise _lost(shard, process, "process ended")
             try:
                 message = connection.recv()
             except (EOFError, OSError) as error:
-                raise _lost(shard, process, stage, f"pipe closed "
+                raise _lost(shard, process, f"pipe closed "
                             f"({type(error).__name__})") from error
             except Exception as error:
                 raise ShardExecutionError(
-                    f"shard {shard} sent a corrupt message at {stage} "
+                    f"shard {shard} sent a corrupt message "
                     f"({type(error).__name__}: {error})") from error
             if message[0] == "error":
                 raise ShardExecutionError(
-                    f"shard {shard} failed at {stage}: {message[1]}\n"
-                    f"{message[2]}")
-            if message[0] != expected:
-                raise ShardExecutionError(
-                    f"shard {shard}: expected {expected!r} message at "
-                    f"{stage}, got {message[0]!r}")
+                    f"shard {shard} failed: {message[1]}\n{message[2]}")
             received[shard] = message[1]
     return [received[shard] for shard in range(len(workers))]
 
@@ -339,39 +264,24 @@ def _drain_and_close(connection) -> None:
     connection.close()
 
 
-def _drive_parallel(spec: RunSpec, plan: ShardPlan, options: dict,
-                    traces: Sequence) -> List[Dict[str, object]]:
-    """One process per shard; the coordinator merges and broadcasts each
-    barrier, and raises :class:`ShardExecutionError` on the first failed
-    worker.  Every exit drains and closes each pipe before joining."""
+def _drive_parallel(
+        runtimes: Sequence[ShardRuntime]) -> List[Dict[str, object]]:
+    """One forked process per shard; raises :class:`ShardExecutionError`
+    on the first failed worker.  Every exit drains and closes each pipe
+    before joining."""
     context = multiprocessing.get_context("fork")
     workers = []
     finished = False
     try:
-        for shard in range(plan.num_shards):
+        for runtime in runtimes:
             parent_end, child_end = context.Pipe()
             process = context.Process(
-                target=_shard_worker,
-                args=(child_end, spec.to_dict(), shard, plan.to_dict(),
-                      options, traces[shard]),
-                name=f"shard-{shard}", daemon=True)
+                target=_shard_worker, args=(child_end, runtime),
+                name=f"shard-{runtime.shard_index}", daemon=True)
             process.start()
             child_end.close()
             workers.append((process, parent_end))
-        for epoch in range(plan.num_epochs):
-            frames = _gather(workers, "frame", f"epoch {epoch}")
-            merged = GlobalFrame.merge(
-                [ShardFrame.from_dict(frame) for frame in frames]).to_dict()
-            for shard, (process, connection) in enumerate(workers):
-                try:
-                    connection.send(("global", merged))
-                except OSError as error:
-                    raise _lost(shard, process, f"epoch {epoch}",
-                                f"pipe closed ({type(error).__name__})"
-                                ) from error
-        payloads = _gather(
-            workers, "result",
-            f"the result phase after epoch {plan.num_epochs - 1}")
+        payloads = _gather(workers)
         finished = True
         return payloads
     finally:
@@ -387,8 +297,7 @@ def _drive_parallel(spec: RunSpec, plan: ShardPlan, options: dict,
 # Entry point.
 # ----------------------------------------------------------------------
 def run_sharded(spec, num_shards: int, *, parallel: bool = True,
-                epoch_s: Optional[float] = None, sketch: bool = False,
-                profile: bool = False,
+                sketch: bool = False, profile: bool = False,
                 telemetry_kwargs: Optional[dict] = None) -> ShardedRunResult:
     """Run ``spec`` partitioned into ``num_shards`` space shards.
 
@@ -401,8 +310,8 @@ def run_sharded(spec, num_shards: int, *, parallel: bool = True,
     payloads.
 
     A parallel worker that raises, dies, closes its pipe or corrupts a
-    message raises :class:`ShardExecutionError` naming its shard and
-    epoch; the other workers are torn down and nothing is retried.
+    message raises :class:`ShardExecutionError` naming its shard; the
+    other workers are torn down and nothing is retried.
     """
     spec = RunSpec.from_spec(spec)
     if num_shards < 1:
@@ -426,7 +335,7 @@ def run_sharded(spec, num_shards: int, *, parallel: bool = True,
             telemetry = simulation.telemetry
         result = simulation.run()
         payload: Dict[str, object] = {
-            "shard": {}, "memory": memory_stats(),
+            "index": 0, "memory": memory_stats(),
             "events_dispatched": (
                 simulation.platform.env.dispatch_stats()["dispatched"]
                 if simulation.platform is not None else 0),
@@ -444,21 +353,18 @@ def run_sharded(spec, num_shards: int, *, parallel: bool = True,
     from repro.experiments.scenarios import build_trace
 
     full_trace = build_trace(spec)
-    plan = ShardPlan.from_trace(full_trace, num_shards, epoch_s=epoch_s)
-    traces = shard_traces(full_trace, num_shards)
-    options = {"sketch": sketch, "profile": profile,
-               "telemetry_kwargs": dict(telemetry_kwargs or {})}
+    runtimes = [ShardRuntime(spec, index, trace, full_trace.duration,
+                             sketch=sketch, profile=profile,
+                             telemetry_kwargs=telemetry_kwargs)
+                for index, trace in enumerate(
+                    shard_traces(full_trace, num_shards))]
     if parallel:
-        payloads = _drive_parallel(spec, plan, options, traces)
+        payloads = _drive_parallel(runtimes)
         mode = "parallel"
     else:
-        runtimes = [ShardRuntime(spec, i, plan, sketch=sketch,
-                                 profile=profile,
-                                 telemetry_kwargs=telemetry_kwargs,
-                                 trace=traces[i])
-                    for i in range(num_shards)]
-        payloads = _drive_serial(runtimes, plan)
+        payloads = _drive_serial(runtimes)
         mode = "serial"
+    # The digests hash the round-tripped form, so both modes merge it.
     shard_results = [ExperimentResult.from_dict(p["result"])
                      for p in payloads]
     merged = merge_results(shard_results, trace_name=full_trace.name,

@@ -392,13 +392,11 @@ class Environment:
         """Epoch-bounded stepping: advance the clock to exactly ``time``.
 
         A resumable alternative to ``run(until=time)`` for callers that
-        drive the simulation in fixed epochs (the shard runner steps every
-        shard to the same barrier time with it).  Entries at exactly
-        ``time`` are dispatched *in this epoch* — the bound is inclusive and
-        a same-timestamp batch is never split across a boundary — so
-        repeated ``run_until`` calls partition the timeline exactly like one
-        unbounded run.  Returns the number of entries dispatched, the
-        per-epoch progress signal the barrier frames carry.
+        drive the simulation in fixed epochs.  Entries at exactly ``time``
+        are dispatched *in this epoch* — the bound is inclusive and a
+        same-timestamp batch is never split across a boundary — so repeated
+        ``run_until`` calls partition the timeline exactly like one
+        unbounded run.  Returns the number of entries dispatched.
         """
         before = self._stat_disp
         self.run(until=time)

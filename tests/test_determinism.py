@@ -32,7 +32,7 @@ from repro.experiments.runner import _execute_spec
 from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult, MetricsCollector
 from repro.qos.targets import QosConfig
-from repro.shard import ShardPlan, run_sharded
+from repro.shard import ShardRuntime, run_sharded
 from repro.simulation import AllOf, Environment, SeededRandom
 from repro.statesync.ast_analysis import clear_ast_cache
 from repro.workload import AdobeTraceGenerator
@@ -282,14 +282,23 @@ def _replay_stepped(spec):
 
 def _replay_storm_shards(spec):
     """The K=2 serial-driver storm with a p99 QoS target."""
-    sharded = run_sharded(spec, 2, parallel=False)
-    shards = [payload["shard"] for payload in sharded.shard_payloads]
-    epochs = ShardPlan.from_trace(build_trace(spec), 2).num_epochs
-    assert [len(s["dispatched_per_epoch"]) for s in shards] == [epochs] * 2
-    # The shards must note pressure, or the barrier frames carry nothing.
-    assert sum(s["pressure_events"] for s in shards) > 0
-    return _digest(sharded.result), [
-        (s["dispatched_per_epoch"], s["pressure_gpus"]) for s in shards]
+    per_shard = []
+    finalize = ShardRuntime.finalize
+
+    def finalize_counted(runtime):
+        result = finalize(runtime)
+        stats = runtime.platform.env.dispatch_stats()
+        per_shard.append((stats["dispatched"], stats["batches"],
+                          stats["serials"]))
+        return result
+
+    ShardRuntime.finalize = finalize_counted
+    try:
+        sharded = run_sharded(spec, 2, parallel=False)
+    finally:
+        ShardRuntime.finalize = finalize
+    assert len(per_shard) == 2
+    return _digest(sharded.result), per_shard
 
 
 @pytest.mark.parametrize("case", ["smoke-notebookos", "smoke-batch",

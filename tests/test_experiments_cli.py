@@ -33,11 +33,16 @@ def test_unknown_scenario_exits_2_and_names_choices(capsys, tmp_path):
 
 
 def test_unknown_policy_exits_2(capsys, tmp_path):
-    code = main(["run", "smoke", "--policy", "no-such-policy",
-                 "--store-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "no-such-policy" in captured.err
+    # Sharded, the spec fails inside a shard worker; the CLI names that
+    # shard on one error line instead of letting the traceback escape.
+    for extra in ([], ["--shards", "2"]):
+        code = main(["run", "smoke", "--policy", "no-such-policy",
+                     "--store-dir", str(tmp_path)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "no-such-policy" in captured.err
+        assert "Traceback" not in captured.err
+    assert "error: shard " in captured.err
 
 
 def test_sweep_unknown_scenario_exits_2(capsys, tmp_path):
@@ -50,6 +55,30 @@ def test_sweep_unknown_scenario_exits_2(capsys, tmp_path):
 # ----------------------------------------------------------------------
 # Malformed grids and values.
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("command", ["run", "profile", "telemetry"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_shard_count_below_one_exits_2(capsys, tmp_path, monkeypatch,
+                                      command, count):
+    # Used to run unsharded (and, for run, write the store).
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "smoke", "--shards", count])
+    assert exit_info.value.code == 2
+    assert "--shards" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_rejects_shards_with_qos(capsys, tmp_path):
+    # Used to drop --shards silently and run the QoS spec unsharded.
+    code = main(["run", "smoke", "--shards", "2",
+                 "--qos", "interactivity:p99>60",
+                 "--store-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--shards" in captured.err and "--qos" in captured.err
+    assert captured.out == ""
+
+
 def test_malformed_seeds_exits_2(capsys, tmp_path):
     code = main(["sweep", "--scenario", "smoke", "--policies", "notebookos",
                  "--seeds", "1,two,3", "--store-dir", str(tmp_path)])

@@ -13,19 +13,26 @@ Layered from pure to integrated:
 * spec integration: the ``qos`` block participates in spec hashes and the
   sweep grid, and specs without one serialize exactly as before this
   subsystem existed;
+* cost: with no ``qos`` block a telemetry-attached run reproduces the
+  pre-QoS digest, and an idle target adds at most 5 % more calls into
+  ``repro``;
 * the full loop: under the ``failure_storm`` scenario a p99-interactivity
   target breaches, fires its action, and recovers — deterministically
   across repeated runs, and bit-identically serial-vs-parallel at K=2.
 """
 
+import cProfile
 import hashlib
 import json
+import os
+import pstats
 import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.api import (
     QOS_ACTION,
     QOS_BREACH,
@@ -36,10 +43,12 @@ from repro.api import (
     Simulation,
 )
 from repro.api.hooks import HookBus
+from repro.experiments.__main__ import main
 from repro.experiments.sweep import SweepGrid
 from repro.qos import QosConfig, QosTarget, TargetState
 from repro.qos.actions import register_action, resolve_action
 from repro.qos.controller import QosController
+from repro.statesync.ast_analysis import clear_ast_cache
 from repro.telemetry.streams import WindowSnapshot
 
 WINDOW = 300.0
@@ -54,11 +63,11 @@ def snap(index, value, count=1):
         quantiles={} if value is None else {"p50": value, "p99": value})
 
 
-def drive(state, snapshots, pressure=0):
+def drive(state, snapshots):
     """Feed snapshots through a machine the way the controller does."""
     transitions = []
     for snapshot in snapshots:
-        transition = state.observe(snapshot, pressure)
+        transition = state.observe(snapshot)
         transitions.append(transition)
         if transition in ("breach", "action"):
             state.mark_action(snapshot.end)
@@ -124,6 +133,34 @@ def test_controller_telemetry_keeps_only_its_targets_streams():
         controller.telemetry.stream("sched_overhead")
 
 
+@pytest.mark.parametrize("text, key", [
+    # Each validated before its action checked its arguments: the first
+    # then died mid-run with a TypeError from the controller, the second
+    # ran and ignored ``foo``, and the third ran without the option.
+    ("interactivity:p99>0.001:autoscaler_override,extra_host=2",
+     "extra_host"),
+    ("interactivity:p99>60:log,foo=1", "foo"),
+    ("interactivity:p99>60:autoscaler_override,extra_hosts=2,"
+     "pressure_relief=0.2", "pressure_relief"),
+])
+def test_action_arguments_are_checked_at_the_boundary(text, key, capsys):
+    action = text.split(":")[2].split(",")[0]
+    with pytest.raises(ValueError, match=rf"'{action}'.*'{key}'"):
+        QosConfig.from_specs([text]).validate()
+    code = main(["run", "smoke", "--qos", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"'{key}'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_from_dict_rejects_unknown_keys():
+    data = QosTarget.from_string("interactivity:p99>60").to_dict()
+    data["pressure_relief"] = 0.2
+    with pytest.raises(ValueError, match="'pressure_relief'"):
+        QosTarget.from_dict(data)
+
+
 def test_target_round_trips_through_dict():
     target = QosTarget.from_string(
         "tct:p90>900:admission_throttle,delay_s=30,cooldown_s=600,"
@@ -159,15 +196,6 @@ def test_action_registry_rejects_duplicates_and_unknowns():
         register_action("log")(lambda platform, target, now: {})
     with pytest.raises(ValueError, match="unknown qos action"):
         resolve_action("definitely_not_registered")
-
-
-def test_pressure_relief_tightens_threshold():
-    target = QosTarget(metric="interactivity", threshold=100.0,
-                       pressure_relief=0.2)
-    assert target.effective_threshold(0) == 100.0
-    assert target.effective_threshold(5) == pytest.approx(80.0)
-    assert target.violated(90.0, fleet_pressure=5)
-    assert not target.violated(90.0, fleet_pressure=0)
 
 
 # ----------------------------------------------------------------------
@@ -239,26 +267,24 @@ def test_below_comparison_breaches_under_threshold():
     windows=st.integers(min_value=1, max_value=3),
     hysteresis=st.floats(min_value=0.0, max_value=50.0),
     cooldown_windows=st.integers(min_value=0, max_value=4),
-    pressure=st.integers(min_value=0, max_value=8),
 )
 def test_transition_sequence_is_replayable(values, windows, hysteresis,
-                                           cooldown_windows, pressure):
+                                           cooldown_windows):
     target = QosTarget(metric="interactivity", threshold=100.0,
                        windows=windows, hysteresis=hysteresis,
-                       cooldown_s=cooldown_windows * WINDOW,
-                       pressure_relief=0.1)
+                       cooldown_s=cooldown_windows * WINDOW)
     snapshots = [snap(i, v, count=0 if v is None else 1)
                  for i, v in enumerate(values)]
-    first = drive(TargetState(target), snapshots, pressure)
-    second = drive(TargetState(target), snapshots, pressure)
+    first = drive(TargetState(target), snapshots)
+    second = drive(TargetState(target), snapshots)
     assert first == second
     # The machine survives the spec round-trip with identical behavior.
     cloned = QosTarget.from_dict(
         json.loads(json.dumps(target.to_dict())))
-    assert drive(TargetState(cloned), snapshots, pressure) == first
+    assert drive(TargetState(cloned), snapshots) == first
     # Transition counters agree with the sequence.
     replay = TargetState(target)
-    transitions = drive(replay, snapshots, pressure)
+    transitions = drive(replay, snapshots)
     assert replay.breaches == transitions.count("breach")
     assert replay.recoveries == transitions.count("recover")
     assert replay.actions_fired == (transitions.count("breach")
@@ -275,7 +301,6 @@ class _StubPlatform:
         self.hooks = HookBus()
         self.env = types.SimpleNamespace(now=0.0)
         self._workload = {"live": True}
-        self.shard_context = None
 
 
 def test_multi_target_tiebreak_is_declaration_order():
@@ -340,6 +365,53 @@ def test_sweep_grid_qos_axis():
     specs = grid.expand()
     assert [bool(spec.qos) for spec in specs] == [False, True]
     assert specs[0].spec_hash() != specs[1].spec_hash()
+
+
+# ----------------------------------------------------------------------
+# Cost: nothing when disabled, little when idle.
+# ----------------------------------------------------------------------
+#: Collector digest of ``cluster_scale`` at 300 sessions with telemetry
+#: attached (300 s windows) and no ``qos`` block, from the commit before
+#: the QoS subsystem landed: the disabled control plane must not move it.
+QOS_OFF_DIGEST = \
+    "86d9117009c1b7f638e0175ef2bfaf187094f67a93ed3550435841aa413757bf"
+#: A target that never breaches: the controller evaluates every window
+#: close but schedules nothing, so its extra calls are pure overhead.
+IDLE_TARGET = "interactivity:p99>1000000"
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def _telemetry_run(qos: bool) -> Simulation:
+    sim = (Simulation.from_scenario("cluster_scale", num_sessions=300)
+           .with_telemetry(window_s=WINDOW))
+    if qos:
+        sim.with_qos(IDLE_TARGET, window_s=WINDOW)
+    return sim
+
+
+def test_disabled_qos_reproduces_the_pre_qos_digest():
+    assert _digest(_telemetry_run(qos=False).run()) == QOS_OFF_DIGEST
+
+
+def _calls_into_repro(sim: Simulation) -> int:
+    """cProfile primitive calls of functions under ``src/repro`` over one
+    ``run()`` from a cold AST cache, comprehension frames excluded.  The
+    count repeats exactly from run to run, so it needs no noise band."""
+    clear_ast_cache()
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run()
+    profile.disable()
+    package = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    return sum(primitive for (path, _, func), (primitive, *_)
+               in pstats.Stats(profile).stats.items()
+               if path.startswith(package) and func not in COMPREHENSIONS)
+
+
+def test_an_idle_target_adds_at_most_5_percent_calls():
+    plain = _calls_into_repro(_telemetry_run(qos=False))
+    controlled = _calls_into_repro(_telemetry_run(qos=True))
+    assert controlled / plain <= 1.05, (plain, controlled)
 
 
 def test_with_qos_accepts_all_spec_forms():

@@ -33,8 +33,8 @@ def gc_off():
 
 
 def _stepped_replay(spec, after_epoch):
-    """Replay ``spec`` over EPOCHS barriers, calling ``after_epoch(platform)``
-    at each.  Returns the platform and a weak reference to every process
+    """Replay ``spec`` in EPOCHS steps, calling ``after_epoch(platform)``
+    after each.  Returns the platform and a weak reference to every process
     the run created."""
     simulation = Simulation.from_spec(spec)
     trace = build_trace(simulation.spec)

@@ -1,25 +1,23 @@
-"""Tests for repro.shard — partition, barriers, merge, and bit-identity.
+"""Tests for repro.shard — partition, merge, independence and bit-identity.
 
 The load-bearing guarantees, in increasing order of integration:
 
 * the session partition is a deterministic round-robin that preserves
   every session and each shard's original trace order;
-* the barrier schedule is derived by multiplication (never accumulation)
-  and ends exactly at the horizon;
-* frame merging and result merging are pure, order-stable functions of
-  their inputs in shard order;
+* result merging is a pure, order-stable function of its inputs in shard
+  order;
 * ``num_shards=1`` is byte-identical to a plain serial run (the frozen
   reference path);
+* each shard of a K-shard run replays exactly as it would alone;
 * for any K, in-process serial execution and one-process-per-shard
   parallel execution produce byte-identical merged collectors;
-* a shard failing mid-epoch — raising, or its worker killed — tears the
-  run down with an error naming the shard and the epoch instead of hanging
-  the barrier, and leaves no worker process behind.
+* a shard failing mid-replay — raising, or its worker killed — tears the
+  run down with an error naming the shard instead of hanging the
+  coordinator, and leaves no worker process behind.
 """
 
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import signal
@@ -30,15 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.timeline import Timeline
-from repro.api import RunSpec, Simulation
+from repro.api import TASK_COMPLETE, RunSpec, Simulation
 from repro.experiments.scenarios import build_trace
 from repro.metrics.collector import ExperimentResult
+from repro.qos import QosConfig
 from repro.shard import (
-    GlobalFrame,
-    ShardContext,
     ShardExecutionError,
-    ShardFrame,
-    ShardPlan,
     ShardRuntime,
     merge_results,
     partition_sessions,
@@ -49,7 +44,6 @@ from repro.shard.merge import (
     merge_timelines_sum,
     merge_timelines_weighted_mean,
 )
-from repro.shard.plan import MAX_BARRIERS, default_epoch_s
 from repro.shard.runner import _drain_and_close, _drive_serial
 from repro.workload.trace import SessionTrace, Trace
 
@@ -119,140 +113,6 @@ def test_shard_traces_names_and_interval():
 
 
 # ----------------------------------------------------------------------
-# Plan / barrier schedule.
-# ----------------------------------------------------------------------
-@settings(max_examples=50, deadline=None)
-@given(horizon=st.floats(1.0, 1e7), epoch=st.floats(1.0, 1e5))
-def test_barrier_schedule_covers_horizon(horizon, epoch):
-    trace = Trace(name="toy", sessions=_sessions(4))
-    if horizon / epoch > MAX_BARRIERS:
-        # Too many barriers: rejected up front, naming epoch_s, the horizon
-        # and the count, instead of building the schedule.
-        with pytest.raises(ValueError, match="epoch_s") as error:
-            ShardPlan.from_trace(trace, 2, epoch_s=epoch, horizon=horizon)
-        assert str(horizon) in str(error.value)
-        assert str(math.ceil(horizon / epoch)) in str(error.value)
-        return
-    plan = ShardPlan.from_trace(trace, 2, epoch_s=epoch, horizon=horizon)
-    barriers = plan.barrier_times
-    assert len(barriers) <= MAX_BARRIERS
-    assert barriers[-1] == horizon
-    assert list(barriers) == sorted(set(barriers))  # strictly increasing
-    # Every interior barrier is an exact multiple of the epoch (derived by
-    # multiplication, so all processes agree on the floats bit-for-bit).
-    for k, barrier in enumerate(barriers[:-1]):
-        assert barrier == (k + 1) * plan.epoch_s
-        assert barrier < horizon
-
-
-@pytest.mark.parametrize("epoch", [float("nan"), float("inf"),
-                                   float("-inf"), 0.0, -60.0])
-def test_plan_rejects_bad_epoch(epoch):
-    trace = Trace(name="toy", sessions=_sessions(4))
-    with pytest.raises(ValueError, match="epoch_s"):
-        ShardPlan.from_trace(trace, 2, epoch_s=epoch, horizon=3600.0)
-
-
-@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
-def test_plan_rejects_non_finite_horizon(horizon):
-    trace = Trace(name="toy", sessions=_sessions(4))
-    with pytest.raises(ValueError, match="horizon"):
-        ShardPlan.from_trace(trace, 2, horizon=horizon)
-
-
-def test_plan_accepts_exactly_the_barrier_cap():
-    trace = Trace(name="toy", sessions=_sessions(4))
-    plan = ShardPlan.from_trace(trace, 2, epoch_s=1.0,
-                                horizon=float(MAX_BARRIERS))
-    assert plan.num_epochs == MAX_BARRIERS
-    with pytest.raises(ValueError, match="epoch_s"):
-        ShardPlan.from_trace(trace, 2, epoch_s=1.0,
-                             horizon=MAX_BARRIERS + 0.5)
-
-
-def test_plan_round_trips_and_default_epoch():
-    trace = Trace(name="toy", sessions=_sessions(12))
-    plan = ShardPlan.from_trace(trace, 4)
-    assert plan == ShardPlan.from_dict(plan.to_dict())
-    assert plan.num_epochs == len(plan.barrier_times)
-    assert default_epoch_s(0.0) == 60.0
-    assert default_epoch_s(3600.0) == 60.0          # clamped up
-    assert default_epoch_s(64 * 3600.0) == 1800.0   # clamped down
-    assert default_epoch_s(64 * 600.0) == 600.0     # horizon / 64
-
-
-def test_default_epoch_stays_under_the_barrier_cap():
-    # Past a 1.8e8 s horizon, MAX_EPOCH_S epochs would exceed the cap, so
-    # the default epoch grows instead of building millions of barriers.
-    trace = Trace(name="toy", sessions=_sessions(4))
-    plan = ShardPlan.from_trace(trace, 2, horizon=1e10)
-    assert plan.num_epochs <= MAX_BARRIERS
-    assert plan.barrier_times[-1] == 1e10
-    assert default_epoch_s(1.8e8) == 1800.0         # unchanged up to here
-    # Here horizon / (horizon / MAX_BARRIERS) rounds to just above the cap.
-    horizon = 254634029679.62918
-    assert math.ceil(horizon / default_epoch_s(horizon)) == MAX_BARRIERS
-
-
-@settings(max_examples=200, deadline=None)
-@given(horizon=st.floats(1.0, 1e15))
-def test_default_epoch_never_needs_more_than_the_cap(horizon):
-    epoch = default_epoch_s(horizon)
-    assert math.ceil(horizon / epoch) <= MAX_BARRIERS
-    if horizon <= 1.8e8:
-        assert epoch == min(1800.0, max(60.0, horizon / 64))
-
-
-# ----------------------------------------------------------------------
-# Frame merge and the shard context.
-# ----------------------------------------------------------------------
-def _frame(shard, epoch=0, time=60.0, pressure=0):
-    return ShardFrame(shard=shard, epoch=epoch, time=time, pressure=pressure)
-
-
-def test_global_frame_sums_pressure_in_shard_order():
-    frames = [_frame(0, pressure=3), _frame(1), _frame(2, pressure=5)]
-    merged = GlobalFrame.merge(frames)
-    assert (merged.epoch, merged.time, merged.pressure) == (0, 60.0, 8)
-    # Both frame types round-trip through the wire format used by the
-    # parallel driver.
-    for frame in frames + [merged]:
-        data = frame.to_dict()
-        assert type(frame).from_dict(data) == frame
-        assert json.loads(json.dumps(data)) == data
-
-
-def test_global_frame_merge_rejects_barrier_skew():
-    with pytest.raises(ValueError, match="skew"):
-        GlobalFrame.merge([_frame(0, epoch=1), _frame(1, epoch=2)])
-
-
-def test_shard_context_frames_pressure_deltas_and_stats():
-    context, peer = ShardContext(0, 2), ShardContext(1, 2)
-    assert context.fleet_pressure == 0  # before the first barrier
-    context.note_pressure(2)
-    context.note_pressure(1)
-    first = GlobalFrame.merge([context.make_frame(0, 60.0, dispatched=5),
-                               peer.make_frame(0, 60.0, dispatched=3)])
-    assert first.pressure == 3
-    for shard in (context, peer):
-        shard.absorb_global(first)
-        assert shard.fleet_pressure == 3
-    # Each frame carries only its own epoch's pressure delta.
-    peer.note_pressure(4)
-    frames = [context.make_frame(1, 120.0, dispatched=7),
-              peer.make_frame(1, 120.0, dispatched=0)]
-    assert [frame.pressure for frame in frames] == [0, 4]
-    context.absorb_global(GlobalFrame.merge(frames))
-    assert context.fleet_pressure == 4
-    context.record_stall(0.25)
-    assert context.stats_payload() == {
-        "index": 0, "num_shards": 2, "epochs": 2, "barrier_stall_s": 0.25,
-        "dispatched_per_epoch": [5, 7], "pressure_events": 2,
-        "pressure_gpus": 3}
-
-
-# ----------------------------------------------------------------------
 # Timeline merge combinators.
 # ----------------------------------------------------------------------
 def test_merge_timelines_sum_is_stepwise():
@@ -314,11 +174,10 @@ def test_serial_and_parallel_sharding_are_byte_identical(num_shards, seed):
     # Determinism across repeated parallel runs, too.
     again = run_sharded(spec, num_shards, parallel=True)
     assert _digest(again.result) == _digest(parallel.result)
-    # Shard payloads carry the barrier accounting.
+    # Shard payloads come back in shard order, each with its own process's
+    # memory reading.
     for index, payload in enumerate(parallel.shard_payloads):
-        stats = payload["shard"]
-        assert stats["index"] == index
-        assert stats["epochs"] == len(stats["dispatched_per_epoch"])
+        assert payload["index"] == index
         assert payload["memory"]["peak_rss_bytes"] > 0
 
 
@@ -335,6 +194,26 @@ def test_sharded_run_merges_the_full_workload():
     assert events == sorted(events)
 
 
+#: perfbench's ``storm_shards`` QoS target.
+STORM_QOS = "interactivity:p99>60:autoscaler_override,extra_hosts=2,hold_s=900"
+
+
+def test_each_shard_replays_exactly_as_it_would_alone():
+    qos = QosConfig.from_specs([STORM_QOS], window_s=300.0).to_dict()
+    spec = RunSpec.from_scenario("failure_storm", policy="notebookos",
+                                 qos=qos)
+    sharded = run_sharded(spec, 2, parallel=False)
+    full_trace = build_trace(spec)
+    for index, trace in enumerate(shard_traces(full_trace, 2)):
+        alone = ShardRuntime(spec, index, trace, full_trace.duration)
+        alone.setup()
+        result = alone.finalize()
+        payload = sharded.shard_payloads[index]
+        assert payload["index"] == index
+        assert _digest(ExperimentResult.from_dict(payload["result"])) == \
+            _digest(ExperimentResult.from_dict(result.to_dict()))
+
+
 def test_sketch_mode_sharding_is_byte_identical_across_modes():
     spec = RunSpec.from_scenario("smoke", seed=7)
     serial = run_sharded(spec, 2, parallel=False, sketch=True)
@@ -346,38 +225,34 @@ def test_sketch_mode_sharding_is_byte_identical_across_modes():
 # ----------------------------------------------------------------------
 # Failure handling.
 # ----------------------------------------------------------------------
-class _FailingRuntime:
-    """Stands in for a ShardRuntime that dies mid-epoch."""
+class _StubRuntime:
+    """Stands in for a ShardRuntime whose replay may fail."""
 
-    def __init__(self, fail_epoch):
-        self.fail_epoch = fail_epoch
+    def __init__(self, fails):
+        self.fails = fails
         self.aborted = False
 
     def setup(self):
         pass
 
-    def step_epoch(self, epoch, time):
-        if epoch >= self.fail_epoch:
-            raise RuntimeError("shard blew up mid-epoch")
-        return _frame(0, epoch=epoch, time=time)
+    def finalize(self):
+        if self.fails:
+            raise RuntimeError("shard blew up mid-replay")
 
-    def absorb(self, frame):
-        pass
+    def payload(self):
+        return {}
 
     def abort(self):
         self.aborted = True
 
 
-def test_serial_driver_tears_down_on_mid_epoch_failure():
-    trace = Trace(name="toy", sessions=_sessions(4))
-    plan = ShardPlan.from_trace(trace, 2, epoch_s=60.0, horizon=600.0)
-    healthy = _FailingRuntime(fail_epoch=10_000)
-    failing = _FailingRuntime(fail_epoch=2)
-    # Frames must agree on shard index for the merge; patch them apart.
-    healthy.step_epoch = lambda e, t: _frame(0, epoch=e, time=t)
-    with pytest.raises(RuntimeError, match="mid-epoch"):
-        _drive_serial([healthy, failing], plan)
-    assert healthy.aborted and failing.aborted
+def test_serial_driver_tears_down_when_a_replay_fails():
+    # Shard 0 finishes its replay before shard 1's fails; both are torn
+    # down.
+    finished, failing = _StubRuntime(fails=False), _StubRuntime(fails=True)
+    with pytest.raises(RuntimeError, match="mid-replay"):
+        _drive_serial([finished, failing])
+    assert finished.aborted and failing.aborted
 
 
 def test_parallel_driver_surfaces_worker_errors():
@@ -404,17 +279,18 @@ def _assert_fails_fast(spec, pattern: str) -> None:
 @pytest.mark.parametrize("fault", ["sigkill", "raise"])
 def test_parallel_driver_fails_fast_when_a_worker_is_lost_mid_run(
         monkeypatch, fault):
-    # Patched before the fork, so only the workers inherit the fault.
-    step_epoch = ShardRuntime.step_epoch
+    # Patched before the fork, so only the workers inherit the fault; it
+    # fires at shard 1's first task completion, mid-replay.
+    setup = ShardRuntime.setup
 
-    def faulty_step_epoch(self, epoch, barrier_time):
-        if self.shard_index == 1 and epoch == 2:
-            _inject(fault)
-        return step_epoch(self, epoch, barrier_time)
+    def faulty_setup(self):
+        setup(self)
+        if self.shard_index == 1:
+            self.platform.hooks.subscribe(
+                TASK_COMPLETE, lambda *_payload: _inject(fault))
 
-    monkeypatch.setattr(ShardRuntime, "step_epoch", faulty_step_epoch)
-    _assert_fails_fast(RunSpec.from_scenario("smoke", seed=7),
-                       r"shard 1 .*epoch 2\b")
+    monkeypatch.setattr(ShardRuntime, "setup", faulty_setup)
+    _assert_fails_fast(RunSpec.from_scenario("smoke", seed=7), r"shard 1\b")
 
 
 def test_parallel_driver_fails_fast_when_a_worker_dies_before_its_result(
@@ -428,14 +304,12 @@ def test_parallel_driver_fails_fast_when_a_worker_dies_before_its_result(
         return result
 
     monkeypatch.setattr(ShardRuntime, "finalize", dying_finalize)
-    spec = RunSpec.from_scenario("smoke", seed=7)
-    last_epoch = ShardPlan.from_trace(build_trace(spec), 2).num_epochs - 1
-    _assert_fails_fast(spec, rf"shard 1 .*epoch {last_epoch}\b")
+    _assert_fails_fast(RunSpec.from_scenario("smoke", seed=7), r"shard 1\b")
 
 
 def test_drain_and_close_is_idempotent_and_never_raises():
     parent, child = multiprocessing.get_context("fork").Pipe()
-    child.send(("frame", {"x": 1}))  # leave data in flight
+    child.send(("result", {"x": 1}))  # leave data in flight
     _drain_and_close(parent)
     _drain_and_close(parent)  # double close must not raise
     assert parent.closed
